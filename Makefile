@@ -59,14 +59,14 @@ bench-smoke:
 bench-compare:
 	./scripts/bench_compare.sh
 
-## bench-serve: the serving fast-path benchmark — one Serve decision through
-## the sharded intake pipeline; the steady state must stay zero-alloc
+## bench-serve: the serving fast-path benchmark — one Serve decision taken
+## inline under its tenant's lock; the steady state must stay zero-alloc
 ## (exact gate in BENCH_sim.json via bench-compare)
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeSteadyState$$' -benchmem ./cmd/blessd/internal/planner/
 
 ## service-load: boot blessd and run both blessload gates over real TCP —
-## the serial-vs-concurrent digest check and the closed-loop ramp with
+## the serial-vs-pipelined digest check and the closed-loop ramp with
 ## shed-rate / §6.9-overhead / throughput enforcement
 service-load:
 	./scripts/service_load.sh

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -23,29 +22,22 @@ import (
 // question per RPC, the Serve* surface keeps a deployment open and decides
 // admission per request at line rate.
 //
-// Intake is sharded: ServeOpen spawns N workers, each owning the admission
-// lanes of the tenants hashed to it. A Serve call enqueues a pooled item on
-// its tenant's worker and waits; the worker drains whatever accumulated —
-// the batching window — and decides the whole batch in one pass under one
-// lock acquisition (core.ServeLane.Decide per item, core's batch-admission
-// shape). Decisions are pure functions of per-tenant state and the
-// client-stamped seq, so any interleaving across tenants — serial, N
-// workers, any batching — produces bit-identical per-tenant digests; the
-// cross-tenant fold (core.ServeDigest) is an XOR, insensitive to tenant
-// order. That is what the serial-vs-concurrent digest gate in CI compares.
+// A Serve call decides on the RPC goroutine it arrives on, under its
+// tenant's mutex (core.ServeLane.Decide). Decisions are pure functions of
+// per-tenant state and the client-stamped seq, so any interleaving across
+// tenants produces bit-identical per-tenant digests; the cross-tenant fold
+// (core.ServeDigest) is an XOR, insensitive to tenant order. That is what
+// the serial-vs-concurrent digest gate in CI compares.
 //
-// Backpressure has two deterministic layers: per-tenant shedding when a
-// request's virtual queueing delay behind its lane exceeds the tenant's
-// bound (reject-with-retry-after keyed on how far the lane overran —
-// overloaded tenants shed their own excess, in-quota tenants never shed),
-// and bounded intake queues whose blocking slows producers down without
-// influencing any admission decision. Nothing queues unboundedly and no
-// decision depends on wall-clock timing.
+// Backpressure is per-tenant shedding: a request whose virtual queueing
+// delay behind its lane would exceed the tenant's bound is rejected with a
+// retry-after keyed on how far the lane overran, so overloaded tenants shed
+// their own excess and in-quota tenants never shed. No decision depends on
+// wall-clock timing.
 //
-// The steady-state fast path allocates nothing: items and their completion
-// channels are pooled, replies are filled in place, and the per-batch lock
-// amortizes across the window (BenchmarkServeSteadyState gates allocs/op
-// exactly).
+// The in-order steady state allocates nothing (BenchmarkServeSteadyState
+// gates allocs/op exactly); only a seq that arrives ahead of its tenant's
+// cursor allocates, to park.
 
 // The wire types live in internal/serveapi so RPC clients outside this
 // internal tree (cmd/blessload) share them; aliased here to keep the
@@ -71,68 +63,60 @@ type (
 	ServeCloseReply = serveapi.ServeCloseReply
 )
 
-// serveItem is one in-flight admission decision, pooled: the Serve call
-// fills tenant+seq, the owning worker fills dec (or err) and signals done.
-type serveItem struct {
-	t    *serveTenantState
-	seq  int
-	dec  core.ServeDecision
-	err  error
-	done chan struct{}
-}
-
-// serveTenantState binds a tenant to its lane and intake shard.
+// serveTenantState is one tenant's admission lane and everything decided
+// under its mutex: the lane, the hold list, and the tenant's share of the
+// deployment's accounting.
 type serveTenantState struct {
-	name    string
-	device  int
-	worker  *serveWorker
-	lane    *core.ServeLane
-	kernels int
+	name string
+
+	mu     sync.Mutex
+	lane   *core.ServeLane
+	closed bool
 	// hold reorders transport-scrambled arrivals: net/rpc serves each call
-	// on its own goroutine, so a pipelining client's seq k+1 can reach the
-	// worker before seq k. Ahead-of-order items wait here (sorted by seq)
-	// until the lane's cursor catches up — decisions still execute in
+	// on its own goroutine, so a pipelining client's seq k+1 can take the
+	// lock before seq k. Ahead-of-order calls park here (sorted by seq)
+	// until the lane's cursor reaches them — decisions still execute in
 	// strict per-tenant seq order, so reordering in flight cannot change
 	// any decision or digest. Empty in the in-order steady state.
-	hold []*serveItem
-}
-
-// serveWorker owns a shard of tenant lanes. Everything it touches per batch
-// — the lanes, the wait digest, the batch counters — is guarded by mu,
-// taken once per batching window.
-type serveWorker struct {
-	ch chan *serveItem
-
-	mu        sync.Mutex
+	hold []*serveWaiter
+	// wait digests admitted virtual queueing delay; decNS, decisions and
+	// batches time the lock acquisitions that decided (batches counts
+	// them, decisions per batch exceeds 1 only when a call releases parked
+	// successors).
 	wait      metrics.Digest
 	decNS     int64
 	decisions uint64
 	batches   uint64
 }
 
+// serveWaiter is a call parked on its tenant's hold list; the call that
+// reaches its seq fills dec and signals done.
+type serveWaiter struct {
+	seq  int
+	dec  core.ServeDecision
+	err  error
+	done chan struct{}
+}
+
 // serveState is one open deployment.
 type serveState struct {
 	tenants []*serveTenantState
 	byName  map[string]*serveTenantState
-	workers []*serveWorker
-	pool    sync.Pool
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	// inflight tracks Serve calls between enqueue and completion so close
-	// can drain before stopping the workers.
+	// inflight counts Serve calls past the open-deployment gate, so close
+	// can drain them before failing whatever is still parked.
 	inflight atomic.Int64
 	budgetNS int64
-	batchMax int
-	window   time.Duration
 
-	// trace, when enabled, keeps a bounded ring of recent decision events.
-	trace   bool
-	traceMu sync.Mutex
-	events  []obs.Event
+	// trace, when enabled, keeps a ring of recent decision events;
+	// traceNext is where the next event goes once the ring is full.
+	trace     bool
+	traceMu   sync.Mutex
+	events    []obs.Event
+	traceNext int
 
 	// cached registry instruments (resolving by name is a map+lock).
-	cOffered, cAdmitted, cShed, cBatches *obs.Counter
-	hWait, hBatch                        *obs.Histogram
+	cOffered, cAdmitted, cShed *obs.Counter
+	hWait                      *obs.Histogram
 }
 
 const serveTraceRing = 4096
@@ -140,8 +124,7 @@ const serveTraceRing = 4096
 // ServeOpen opens a serving deployment: profiles the tenants, runs the
 // §4.2.2 placement admission pass over the pool (the whole tenant set as
 // one batch — offered load beyond what places bubble-free is rejected
-// here), builds the per-tenant admission lanes, and starts the intake
-// workers.
+// here), and builds the per-tenant admission lanes.
 func (p *Planner) ServeOpen(req ServeOpenRequest, reply *ServeOpenReply) error {
 	if len(req.Tenants) == 0 {
 		return fmt.Errorf("serve: no tenants")
@@ -149,14 +132,6 @@ func (p *Planner) ServeOpen(req ServeOpenRequest, reply *ServeOpenReply) error {
 	gpus := req.GPUs
 	if gpus <= 0 {
 		gpus = 1
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	batchMax := req.BatchMax
-	if batchMax <= 0 {
-		batchMax = 64
 	}
 	cfg := sim.DefaultConfig()
 	if req.GPUSMs > 0 {
@@ -168,7 +143,7 @@ func (p *Planner) ServeOpen(req ServeOpenRequest, reply *ServeOpenReply) error {
 	// per-request shedding keys on the per-tenant lanes it implies.
 	apps := make([]core.PlacementApp, len(req.Tenants))
 	lanes := make([]*core.ServeLane, len(req.Tenants))
-	kernels := make([]int, len(req.Tenants))
+	var kernelSum int64
 	for i, t := range req.Tenants {
 		if t.Name == "" {
 			return fmt.Errorf("serve: tenant %d needs a name", i)
@@ -194,7 +169,7 @@ func (p *Planner) ServeOpen(req ServeOpenRequest, reply *ServeOpenReply) error {
 		// Seed by name so same-parameter tenants cannot cancel in the fold.
 		lane.SeedDigest(t.Name)
 		lanes[i] = lane
-		kernels[i] = prof.NumKernels()
+		kernelSum += int64(prof.NumKernels())
 	}
 	pool := make([]core.PlacementGPU, gpus)
 	for i := range pool {
@@ -207,252 +182,48 @@ func (p *Planner) ServeOpen(req ServeOpenRequest, reply *ServeOpenReply) error {
 	}
 
 	st := &serveState{
-		byName:    make(map[string]*serveTenantState, len(req.Tenants)),
-		workers:   make([]*serveWorker, workers),
-		stop:      make(chan struct{}),
-		batchMax:  batchMax,
+		byName: make(map[string]*serveTenantState, len(req.Tenants)),
+		// §6.9 per-request budget: SchedPerKernel x mean kernels per request.
+		budgetNS:  6700 * kernelSum / int64(len(req.Tenants)),
 		trace:     req.Trace,
 		cOffered:  p.reg.Counter("serve/offered_total"),
 		cAdmitted: p.reg.Counter("serve/admitted_total"),
 		cShed:     p.reg.Counter("serve/shed_total"),
-		cBatches:  p.reg.Counter("serve/batches_total"),
 		hWait:     p.reg.Histogram("serve/wait_virtual_ns"),
-		hBatch:    p.reg.Histogram("serve/batch_size"),
 	}
-	st.pool.New = func() any { return &serveItem{done: make(chan struct{}, 1)} }
-	for i := range st.workers {
-		st.workers[i] = &serveWorker{ch: make(chan *serveItem, 4*batchMax)}
-	}
-	var kernelSum, budget int64
 	for i, t := range req.Tenants {
 		if _, dup := st.byName[t.Name]; dup {
 			return fmt.Errorf("serve: duplicate tenant %q", t.Name)
 		}
-		h := fnv.New32a()
-		h.Write([]byte(t.Name))
-		w := st.workers[int(h.Sum32())%workers]
-		ts := &serveTenantState{
-			name:    t.Name,
-			device:  placement[i],
-			worker:  w,
-			lane:    lanes[i],
-			kernels: kernels[i],
-		}
+		ts := &serveTenantState{name: t.Name, lane: lanes[i]}
 		st.tenants = append(st.tenants, ts)
 		st.byName[t.Name] = ts
-		kernelSum += int64(kernels[i])
 		reply.Tenants = append(reply.Tenants, ServeTenantInfo{
 			Name:       t.Name,
 			Device:     placement[i],
-			Worker:     workerIndex(st.workers, w),
 			IntervalNS: int64(lanes[i].Interval),
 			ServiceNS:  int64(lanes[i].Service),
 			BoundNS:    int64(lanes[i].Bound),
 		})
 	}
-	// §6.9 per-request budget: SchedPerKernel x mean kernels per request.
-	budget = 6700 * kernelSum / int64(len(req.Tenants))
-	st.budgetNS = budget
 
 	p.mu.Lock()
 	if p.serve.Load() != nil {
 		p.mu.Unlock()
 		return fmt.Errorf("serve: deployment already open (call ServeClose first)")
 	}
-	for _, w := range st.workers {
-		st.wg.Add(1)
-		go st.run(w)
-	}
 	p.serve.Store(st)
 	p.mu.Unlock()
 
-	reply.Workers = workers
 	reply.GPUs = gpus
 	p.reg.Counter("serve/opens_total").Inc()
 	return nil
 }
 
-func workerIndex(ws []*serveWorker, w *serveWorker) int {
-	for i, x := range ws {
-		if x == w {
-			return i
-		}
-	}
-	return -1
-}
-
-// run is one intake worker: block for the first item, drain the batching
-// window, decide the whole batch in one pass under one lock acquisition,
-// then signal every waiter. Ahead-of-order items park on their tenant's
-// hold list and are decided the moment the seq cursor reaches them.
-func (st *serveState) run(w *serveWorker) {
-	defer st.wg.Done()
-	batch := make([]*serveItem, 0, st.batchMax)
-	ready := make([]*serveItem, 0, st.batchMax)
-	for {
-		var first *serveItem
-		select {
-		case first = <-w.ch:
-		case <-st.stop:
-			st.flush(w)
-			return
-		}
-		batch = append(batch[:0], first)
-		for len(batch) < st.batchMax {
-			select {
-			case it := <-w.ch:
-				batch = append(batch, it)
-			default:
-				goto decide
-			}
-		}
-	decide:
-		ready = ready[:0]
-		t0 := time.Now()
-		w.mu.Lock()
-		for _, it := range batch {
-			t := it.t
-			switch next := t.lane.Next(); {
-			case it.seq == next:
-				ready = w.decideChain(it, ready)
-			case it.seq > next:
-				t.parkHold(it)
-			default:
-				// Stale seq: already decided once — a client bug, surfaced
-				// as an error, never a second decision.
-				it.err = fmt.Errorf("serve: tenant %q seq %d already decided (cursor at %d)", t.name, it.seq, next)
-				ready = append(ready, it)
-			}
-		}
-		dt := time.Since(t0)
-		w.decNS += int64(dt)
-		w.decisions += uint64(len(ready))
-		w.batches++
-		w.mu.Unlock()
-
-		st.cOffered.Add(int64(len(batch)))
-		st.cBatches.Inc()
-		st.hBatch.Observe(sim.Time(len(batch)))
-		var admitted, decided int64
-		for _, it := range ready {
-			if it.err != nil {
-				continue
-			}
-			decided++
-			if it.dec.Admitted {
-				admitted++
-				st.hWait.Observe(it.dec.Wait)
-			}
-		}
-		st.cAdmitted.Add(admitted)
-		st.cShed.Add(decided - admitted)
-		if st.trace {
-			st.recordEvents(ready)
-		}
-		for i, it := range ready {
-			it.done <- struct{}{}
-			ready[i] = nil
-		}
-		for i := range batch {
-			batch[i] = nil
-		}
-	}
-}
-
-// flush fails everything still queued or parked on this worker at close:
-// items whose predecessors never arrived (an abandoned client pipeline)
-// would otherwise block their Serve calls forever.
-func (st *serveState) flush(w *serveWorker) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for {
-		select {
-		case it := <-w.ch:
-			it.err = errServeClosed
-			it.done <- struct{}{}
-		default:
-			goto holds
-		}
-	}
-holds:
-	for _, t := range st.tenants {
-		if t.worker != w {
-			continue
-		}
-		for i, it := range t.hold {
-			it.err = errServeClosed
-			it.done <- struct{}{}
-			t.hold[i] = nil
-		}
-		t.hold = t.hold[:0]
-	}
-}
-
-// decideChain decides it and every parked successor it unblocks, appending
-// the decided items to ready. Caller holds w.mu and has checked it.seq is
-// the lane's cursor.
-func (w *serveWorker) decideChain(it *serveItem, ready []*serveItem) []*serveItem {
-	t := it.t
-	for {
-		t.lane.Decide(it.seq, &it.dec)
-		if it.dec.Admitted {
-			w.wait.Observe(it.dec.Wait)
-		}
-		ready = append(ready, it)
-		if len(t.hold) == 0 || t.hold[0].seq != t.lane.Next() {
-			return ready
-		}
-		it = t.hold[0]
-		copy(t.hold, t.hold[1:])
-		t.hold[len(t.hold)-1] = nil
-		t.hold = t.hold[:len(t.hold)-1]
-	}
-}
-
-// parkHold inserts it into the tenant's sorted hold list.
-func (t *serveTenantState) parkHold(it *serveItem) {
-	i := len(t.hold)
-	t.hold = append(t.hold, it)
-	for i > 0 && t.hold[i-1].seq > it.seq {
-		t.hold[i] = t.hold[i-1]
-		i--
-	}
-	t.hold[i] = it
-}
-
-// recordEvents appends the batch's decisions to the bounded trace ring.
-func (st *serveState) recordEvents(batch []*serveItem) {
-	st.traceMu.Lock()
-	defer st.traceMu.Unlock()
-	st.events = append(st.events, obs.Event{
-		Kind:       obs.KindServeBatch,
-		Considered: len(batch),
-	})
-	for _, it := range batch {
-		ev := obs.Event{
-			Kind:   obs.KindServeIntake,
-			Client: it.t.name,
-			Seq:    it.seq,
-			At:     it.dec.Arrive,
-			Actual: it.dec.Wait,
-			Reason: "admit",
-		}
-		if !it.dec.Admitted {
-			ev.Kind = obs.KindServeShed
-			ev.Reason = "shed"
-			ev.Predicted = it.dec.RetryAfter
-		}
-		st.events = append(st.events, ev)
-	}
-	if n := len(st.events); n > serveTraceRing {
-		st.events = append(st.events[:0], st.events[n-serveTraceRing:]...)
-	}
-}
-
-// Serve decides one request. The fast path allocates nothing: the item and
-// its completion channel come from the pool, the reply is filled in place,
-// and backpressure is the bounded intake queue blocking — never a
-// timing-dependent decision.
+// Serve decides one request on the calling goroutine, under its tenant's
+// mutex. An in-order seq decides at once, along with any parked successors
+// it unblocks; an ahead-of-order seq parks until its predecessors decide; a
+// stale seq is an error. The in-order path allocates nothing.
 func (p *Planner) Serve(req ServeRequest, reply *ServeReply) error {
 	st := p.serve.Load()
 	if st == nil {
@@ -462,29 +233,121 @@ func (p *Planner) Serve(req ServeRequest, reply *ServeReply) error {
 	if t == nil {
 		return fmt.Errorf("serve: unknown tenant %q", req.Tenant)
 	}
-	it := st.pool.Get().(*serveItem)
-	it.t = t
-	it.seq = req.Seq
-	it.err = nil
+	st.cOffered.Inc()
 	st.inflight.Add(1)
-	t.worker.ch <- it
-	<-it.done
-	err := it.err
-	reply.Seq = it.dec.Seq
-	reply.Admitted = it.dec.Admitted
-	reply.WaitNS = int64(it.dec.Wait)
-	reply.ServiceNS = int64(it.dec.Service)
-	reply.RetryAfterNS = int64(it.dec.RetryAfter)
-	it.t = nil
-	st.pool.Put(it)
+	var dec core.ServeDecision
+	err := st.decide(t, req.Seq, &dec)
 	st.inflight.Add(-1)
+	reply.Seq = dec.Seq
+	reply.Admitted = dec.Admitted
+	reply.WaitNS = int64(dec.Wait)
+	reply.ServiceNS = int64(dec.Service)
+	reply.RetryAfterNS = int64(dec.RetryAfter)
 	return err
+}
+
+// decide fills dec for seq, parking first when seq is ahead of the cursor.
+func (st *serveState) decide(t *serveTenantState, seq int, dec *core.ServeDecision) error {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return errServeClosed
+	}
+	switch next := t.lane.Next(); {
+	case seq == next:
+		st.decideChain(t, seq, dec)
+		t.mu.Unlock()
+		return nil
+	case seq > next:
+		w := &serveWaiter{seq: seq, done: make(chan struct{}, 1)}
+		t.parkHold(w)
+		t.mu.Unlock()
+		<-w.done
+		*dec = w.dec
+		return w.err
+	default:
+		t.mu.Unlock()
+		// Stale seq: already decided once — a client bug, surfaced as an
+		// error, never a second decision.
+		return fmt.Errorf("serve: tenant %q seq %d already decided (cursor at %d)", t.name, seq, next)
+	}
+}
+
+// decideChain decides seq, then every parked successor it unblocks,
+// signalling each. Caller holds t.mu and has checked seq is the cursor.
+func (st *serveState) decideChain(t *serveTenantState, seq int, dec *core.ServeDecision) {
+	t0 := time.Now()
+	st.decideOne(t, seq, dec)
+	n := uint64(1)
+	for len(t.hold) > 0 && t.hold[0].seq == t.lane.Next() {
+		w := t.hold[0]
+		copy(t.hold, t.hold[1:])
+		t.hold[len(t.hold)-1] = nil
+		t.hold = t.hold[:len(t.hold)-1]
+		st.decideOne(t, w.seq, &w.dec)
+		w.done <- struct{}{}
+		n++
+	}
+	t.decNS += int64(time.Since(t0))
+	t.decisions += n
+	t.batches++
+}
+
+// decideOne runs the lane decision and its accounting. Caller holds t.mu.
+func (st *serveState) decideOne(t *serveTenantState, seq int, dec *core.ServeDecision) {
+	t.lane.Decide(seq, dec)
+	if dec.Admitted {
+		t.wait.Observe(dec.Wait)
+		st.hWait.Observe(dec.Wait)
+		st.cAdmitted.Inc()
+	} else {
+		st.cShed.Inc()
+	}
+	if st.trace {
+		st.record(t.name, dec)
+	}
+}
+
+// parkHold inserts w into the tenant's sorted hold list. Caller holds t.mu.
+func (t *serveTenantState) parkHold(w *serveWaiter) {
+	i := len(t.hold)
+	t.hold = append(t.hold, w)
+	for i > 0 && t.hold[i-1].seq > w.seq {
+		t.hold[i] = t.hold[i-1]
+		i--
+	}
+	t.hold[i] = w
+}
+
+// record writes one decision into the trace ring.
+func (st *serveState) record(tenant string, dec *core.ServeDecision) {
+	ev := obs.Event{
+		Kind:   obs.KindServeIntake,
+		Client: tenant,
+		Seq:    dec.Seq,
+		At:     dec.Arrive,
+		Actual: dec.Wait,
+		Reason: "admit",
+	}
+	if !dec.Admitted {
+		ev.Kind = obs.KindServeShed
+		ev.Reason = "shed"
+		ev.Predicted = dec.RetryAfter
+	}
+	st.traceMu.Lock()
+	if len(st.events) < serveTraceRing {
+		st.events = append(st.events, ev)
+	} else {
+		st.events[st.traceNext] = ev
+		st.traceNext = (st.traceNext + 1) % serveTraceRing
+	}
+	st.traceMu.Unlock()
 }
 
 var errServeClosed = fmt.Errorf("serve: no open deployment (call ServeOpen first)")
 
 // serveDrainDeadline bounds how long ServeClose waits for in-flight requests
-// before flushing parked items with an error (overridden in tests).
+// before failing parked ones with an error (overridden in tests).
 var serveDrainDeadline = 5 * time.Second
 
 // ServeStats reports the open deployment's accounting without disturbing
@@ -498,25 +361,20 @@ func (p *Planner) ServeStats(_ struct{}, reply *ServeStatsReply) error {
 	return nil
 }
 
-// fill computes the stats reply from the state's workers and lanes.
+// fill computes the stats reply from the tenants' lanes and accounting.
 func (st *serveState) fill(reply *ServeStatsReply, open bool) {
 	reply.Open = open
 	var wait metrics.Digest
 	var decNS int64
 	var decisions, batches uint64
-	for _, w := range st.workers {
-		w.mu.Lock()
-		wait.Merge(&w.wait)
-		decNS += w.decNS
-		decisions += w.decisions
-		batches += w.batches
-		w.mu.Unlock()
-	}
 	lanes := make([]*core.ServeLane, len(st.tenants))
 	checks := make([]invariant.ServeLaneStats, len(st.tenants))
 	for i, t := range st.tenants {
-		// Lane reads are safe under the owner worker's mu.
-		t.worker.mu.Lock()
+		t.mu.Lock()
+		wait.Merge(&t.wait)
+		decNS += t.decNS
+		decisions += t.decisions
+		batches += t.batches
 		lanes[i] = t.lane
 		offered := t.lane.Offered()
 		reply.PerTenant = append(reply.PerTenant, ServeTenantStats{
@@ -540,7 +398,7 @@ func (st *serveState) fill(reply *ServeStatsReply, open bool) {
 		reply.Offered += offered
 		reply.Admitted += t.lane.Admitted
 		reply.Shed += t.lane.Shed
-		t.worker.mu.Unlock()
+		t.mu.Unlock()
 	}
 	reply.Batches = batches
 	if batches > 0 {
@@ -561,7 +419,7 @@ func (st *serveState) fill(reply *ServeStatsReply, open bool) {
 	}
 }
 
-// ServeClose drains in-flight requests, stops the workers, and returns the
+// ServeClose drains in-flight requests, closes every tenant, and returns the
 // final stats.
 func (p *Planner) ServeClose(_ struct{}, reply *ServeCloseReply) error {
 	p.mu.Lock()
@@ -574,16 +432,21 @@ func (p *Planner) ServeClose(_ struct{}, reply *ServeCloseReply) error {
 	p.mu.Unlock()
 	// New Serve calls now reject; wait out the ones already past the gate.
 	// A bounded wait: a client that abandoned a pipeline mid-stream can
-	// leave a seq gap whose held successors never decide — after the
-	// deadline the workers flush everything still parked with an error.
+	// leave a seq gap whose parked successors never decide — after the
+	// deadline they fail with an error.
 	deadline := time.Now().Add(serveDrainDeadline)
 	for st.inflight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(50 * time.Microsecond)
 	}
-	close(st.stop)
-	st.wg.Wait()
-	for st.inflight.Load() > 0 {
-		time.Sleep(50 * time.Microsecond)
+	for _, t := range st.tenants {
+		t.mu.Lock()
+		t.closed = true
+		for _, w := range t.hold {
+			w.err = errServeClosed
+			w.done <- struct{}{}
+		}
+		t.hold = nil
+		t.mu.Unlock()
 	}
 	st.fill(&reply.Stats, false)
 	p.reg.Counter("serve/closes_total").Inc()
@@ -591,8 +454,8 @@ func (p *Planner) ServeClose(_ struct{}, reply *ServeCloseReply) error {
 }
 
 // ServeServe handles GET /debug/bless/serve: the open deployment's live
-// stats (and, when opened with Trace, the recent decision-event ring) as
-// JSON. 404 when no deployment is open.
+// stats (and, when opened with Trace, the recent decision-event ring, oldest
+// first) as JSON. 404 when no deployment is open.
 func (p *Planner) ServeServe(w http.ResponseWriter, _ *http.Request) {
 	st := p.serve.Load()
 	if st == nil {
@@ -606,19 +469,19 @@ func (p *Planner) ServeServe(w http.ResponseWriter, _ *http.Request) {
 		Tenant string `json:"tenant,omitempty"`
 		Seq    int    `json:"seq"`
 		WaitNS int64  `json:"wait_ns,omitempty"`
-		Batch  int    `json:"batch,omitempty"`
 	}
 	var events []event
 	if st.trace {
 		st.traceMu.Lock()
-		for _, ev := range st.events {
-			events = append(events, event{
-				Kind:   ev.Kind.String(),
-				Tenant: ev.Client,
-				Seq:    ev.Seq,
-				WaitNS: int64(ev.Actual),
-				Batch:  ev.Considered,
-			})
+		for _, part := range [][]obs.Event{st.events[st.traceNext:], st.events[:st.traceNext]} {
+			for _, ev := range part {
+				events = append(events, event{
+					Kind:   ev.Kind.String(),
+					Tenant: ev.Client,
+					Seq:    ev.Seq,
+					WaitNS: int64(ev.Actual),
+				})
+			}
 		}
 		st.traceMu.Unlock()
 	}

@@ -79,7 +79,7 @@ func TestServeOpenValidation(t *testing.T) {
 // with a positive retry-after, accounting balances, and no invariant breaks.
 func TestServeAdmitAndShed(t *testing.T) {
 	p := New()
-	open := mustServeOpen(t, p, ServeOpenRequest{Tenants: serveTestTenants(), Workers: 2})
+	open := mustServeOpen(t, p, ServeOpenRequest{Tenants: serveTestTenants()})
 	if len(open.Tenants) != 4 {
 		t.Fatalf("opened %d tenants, want 4", len(open.Tenants))
 	}
@@ -142,7 +142,7 @@ func TestServeAdmitAndShed(t *testing.T) {
 		}
 	}
 	if stats.Batches == 0 || stats.BatchMeanSize <= 0 {
-		t.Errorf("no batching windows accounted: %+v", stats)
+		t.Errorf("no deciding lock acquisitions accounted: %+v", stats)
 	}
 	if stats.BudgetNS <= 0 {
 		t.Error("no §6.9 budget derived")
@@ -166,13 +166,16 @@ func TestServeAdmitAndShed(t *testing.T) {
 	}
 }
 
-// driveServe pushes perTenant requests for every tenant through p.Serve. With
-// concurrent=true each tenant gets its own goroutine (per-tenant seq order
-// preserved, cross-tenant interleaving scrambled); otherwise one goroutine
-// round-robins.
-func driveServe(t testing.TB, p *Planner, tenants []ServeTenant, perTenant int, concurrent bool) {
+// driveServe pushes perTenant requests for every tenant through p.Serve.
+// With callers == 0 one goroutine round-robins the tenants in seq order.
+// Otherwise each tenant gets callers goroutines: caller c sends the tenant's
+// seqs c, c+callers, c+2*callers, … one call at a time, so cross-tenant
+// interleaving is scrambled and, with callers > 1, a tenant's seqs also
+// arrive ahead of its cursor and park until a predecessor's caller releases
+// them.
+func driveServe(t testing.TB, p *Planner, tenants []ServeTenant, perTenant, callers int) {
 	t.Helper()
-	if !concurrent {
+	if callers == 0 {
 		for seq := 0; seq < perTenant; seq++ {
 			for _, ten := range tenants {
 				var rep ServeReply
@@ -186,58 +189,67 @@ func driveServe(t testing.TB, p *Planner, tenants []ServeTenant, perTenant int, 
 	}
 	var wg sync.WaitGroup
 	for _, ten := range tenants {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			for seq := 0; seq < perTenant; seq++ {
-				var rep ServeReply
-				if err := p.Serve(ServeRequest{Tenant: name, Seq: seq}, &rep); err != nil {
-					t.Error(err)
-					return
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(name string, first int) {
+				defer wg.Done()
+				for seq := first; seq < perTenant; seq += callers {
+					var rep ServeReply
+					if err := p.Serve(ServeRequest{Tenant: name, Seq: seq}, &rep); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-			}
-		}(ten.Name)
+			}(ten.Name, c)
+		}
 	}
 	wg.Wait()
 }
 
 // TestServeDigestSerialVsConcurrent is the metamorphic determinism gate: the
 // same per-tenant request streams must produce bit-identical per-tenant and
-// folded digests whether intake is serial on one worker or concurrent across
-// many — including under load shed, so shed decisions are in the digest too.
+// folded digests whether they are sent serially, concurrently across
+// tenants, or pipelined within each tenant (seqs arriving out of order and
+// decided by whichever caller releases the hold chain) — including under
+// load shed, so shed decisions are in the digest too.
 func TestServeDigestSerialVsConcurrent(t *testing.T) {
 	tenants := serveTestTenants()
 	const perTenant = 500
-	run := func(workers int, concurrent bool) ServeStatsReply {
+	run := func(callers int) ServeStatsReply {
 		p := New()
-		mustServeOpen(t, p, ServeOpenRequest{Tenants: tenants, Workers: workers, BatchMax: 8})
-		driveServe(t, p, tenants, perTenant, concurrent)
+		mustServeOpen(t, p, ServeOpenRequest{Tenants: tenants})
+		driveServe(t, p, tenants, perTenant, callers)
 		var cl ServeCloseReply
 		if err := p.ServeClose(struct{}{}, &cl); err != nil {
 			t.Fatal(err)
 		}
 		return cl.Stats
 	}
-	serial := run(1, false)
+	serial := run(0)
 	if serial.Shed == 0 {
 		t.Fatal("serial run never shed; digest identity not exercised under load-shed")
 	}
-	for round := 0; round < 3; round++ {
-		conc := run(4, true)
-		if conc.Digest != serial.Digest {
-			t.Fatalf("round %d: concurrent digest %s != serial %s", round, conc.Digest, serial.Digest)
-		}
-		if conc.Admitted != serial.Admitted || conc.Shed != serial.Shed {
-			t.Fatalf("round %d: concurrent admitted/shed %d/%d != serial %d/%d",
-				round, conc.Admitted, conc.Shed, serial.Admitted, serial.Shed)
-		}
-		serialTen := make(map[string]ServeTenantStats)
-		for _, ts := range serial.PerTenant {
-			serialTen[ts.Name] = ts
-		}
-		for _, ts := range conc.PerTenant {
-			if want := serialTen[ts.Name]; ts.Digest != want.Digest {
-				t.Fatalf("round %d: tenant %s digest %s != serial %s", round, ts.Name, ts.Digest, want.Digest)
+	serialTen := make(map[string]ServeTenantStats)
+	for _, ts := range serial.PerTenant {
+		serialTen[ts.Name] = ts
+	}
+	for _, mode := range []struct {
+		name    string
+		callers int
+	}{{"concurrent", 1}, {"pipelined", 4}} {
+		for round := 0; round < 3; round++ {
+			conc := run(mode.callers)
+			if conc.Digest != serial.Digest {
+				t.Fatalf("%s round %d: digest %s != serial %s", mode.name, round, conc.Digest, serial.Digest)
+			}
+			if conc.Admitted != serial.Admitted || conc.Shed != serial.Shed {
+				t.Fatalf("%s round %d: admitted/shed %d/%d != serial %d/%d",
+					mode.name, round, conc.Admitted, conc.Shed, serial.Admitted, serial.Shed)
+			}
+			for _, ts := range conc.PerTenant {
+				if want := serialTen[ts.Name]; ts.Digest != want.Digest {
+					t.Fatalf("%s round %d: tenant %s digest %s != serial %s", mode.name, round, ts.Name, ts.Digest, want.Digest)
+				}
 			}
 		}
 	}
@@ -250,7 +262,6 @@ func TestServeReorderedIntake(t *testing.T) {
 	p := New()
 	mustServeOpen(t, p, ServeOpenRequest{
 		Tenants: []ServeTenant{{Name: "a", App: "resnet50", Quota: 0.5, RateRPS: 10}},
-		Workers: 1,
 	})
 	const n = 4
 	replies := make([]ServeReply, n)
@@ -298,8 +309,8 @@ func TestServeReorderedIntake(t *testing.T) {
 }
 
 // TestServeCloseFlushesGap: a client that abandons its pipeline mid-stream
-// (seq 1 sent, seq 0 never) leaves a parked item that can never decide;
-// ServeClose must flush it with an error rather than hang.
+// (seq 1 sent, seq 0 never) leaves a parked call that can never decide;
+// ServeClose must fail it with an error rather than hang.
 func TestServeCloseFlushesGap(t *testing.T) {
 	old := serveDrainDeadline
 	serveDrainDeadline = 50 * time.Millisecond
@@ -308,7 +319,6 @@ func TestServeCloseFlushesGap(t *testing.T) {
 	p := New()
 	mustServeOpen(t, p, ServeOpenRequest{
 		Tenants: []ServeTenant{{Name: "a", App: "resnet50", Quota: 0.5, RateRPS: 10}},
-		Workers: 1,
 	})
 	errCh := make(chan error, 1)
 	go func() {
@@ -361,7 +371,7 @@ func TestServeOverRPCParallel(t *testing.T) {
 	admin := dial()
 	defer admin.Close()
 	var open ServeOpenReply
-	if err := admin.Call("Planner.ServeOpen", ServeOpenRequest{Tenants: tenants, Workers: 4, BatchMax: 16}, &open); err != nil {
+	if err := admin.Call("Planner.ServeOpen", ServeOpenRequest{Tenants: tenants}, &open); err != nil {
 		t.Fatal(err)
 	}
 
@@ -411,18 +421,18 @@ func TestServeOverRPCParallel(t *testing.T) {
 }
 
 // BenchmarkServeSteadyState measures the serve fast path end to end inside
-// the process: pooled intake items, per-batch lock amortization, cached
-// instruments. The steady state must not allocate — BENCH_sim.json gates
-// allocs/op exactly.
+// the process: an in-order call deciding inline under its tenant's mutex,
+// with cached instruments. The steady state must not allocate —
+// BENCH_sim.json gates allocs/op exactly.
 func BenchmarkServeSteadyState(b *testing.B) {
 	p := New()
 	tenants := serveTestTenants()
-	mustServeOpen(b, p, ServeOpenRequest{Tenants: tenants, Workers: 2})
+	mustServeOpen(b, p, ServeOpenRequest{Tenants: tenants})
 	names := make([]string, len(tenants))
 	for i, ten := range tenants {
 		names[i] = ten.Name
 	}
-	// Prime the pools and instrument hot paths before measuring.
+	// Warm the lanes and instrument hot paths before measuring.
 	var rep ServeReply
 	seqs := make([]int, len(names))
 	warm := 2048

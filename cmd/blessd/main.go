@@ -78,13 +78,13 @@
 // Beyond per-plan what-ifs, blessd also runs a sustained-load serving path:
 // Planner.ServeOpen opens a deployment (placement admission over the pool,
 // one deterministic admission lane per tenant), Planner.Serve decides one
-// request per call at line rate through sharded, batching intake workers
-// (admit, or shed with a retry-after when the tenant's virtual queueing
-// delay exceeds its bound), and Planner.ServeStats / Planner.ServeClose
-// report the accounting: throughput, wait percentiles, shed counts,
-// measured per-decision overhead against the §6.9 budget, and the
-// determinism digest that is bit-identical between serial and concurrent
-// intake (wire types in internal/serveapi). cmd/blessload is the matching
+// request per call at line rate, inline on the RPC goroutine under the
+// tenant's lock (admit, or shed with a retry-after when the tenant's virtual
+// queueing delay exceeds its bound), and Planner.ServeStats /
+// Planner.ServeClose report the accounting: throughput, wait percentiles,
+// shed counts, measured per-decision overhead against the §6.9 budget, and
+// the determinism digest that is bit-identical between serial and
+// pipelined-concurrent clients (wire types in internal/serveapi). cmd/blessload is the matching
 // closed-loop generator:
 //
 //	blessd -listen :7600 &

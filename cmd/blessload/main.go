@@ -22,13 +22,15 @@
 //	blessload -addr localhost:7600 -tenants 4 -steps 4 -duration 2s \
 //	    -check -min-rps 10000
 //
-// Deterministic-intake verification (the serial-vs-concurrent digest gate):
+// Deterministic-intake verification (the serial-vs-pipelined digest gate):
 //
 //	blessload -addr localhost:7600 -verify -verify-requests 4000
 //
-// -verify drives the exact same per-tenant seq streams through a 1-worker
-// (serial) and an N-worker (concurrent) deployment — at rates high enough
-// to shed — and requires the two completion digests to match bit for bit.
+// -verify drives the exact same per-tenant seq streams twice — at rates high
+// enough to shed — first serially (one connection, one request in flight
+// per tenant), then pipelined-concurrent (-conns connections, -inflight
+// requests in flight per tenant, so seqs reach the daemon out of order) —
+// and requires the two completion digests to match bit for bit.
 //
 // The last line of output is a JSON result record (machine-readable for
 // CI); with -check the exit status enforces -min-rps, the §6.9 budget, a
@@ -58,8 +60,6 @@ func main() {
 		quota    = flag.Float64("quota", 0, "per-tenant quota (0 = spread 0.9/tenants)")
 		gpus     = flag.Int("gpus", 1, "pool size for the placement pass")
 		gpuSMs   = flag.Int("gpu-sms", 0, "per-device SM count (0 = 108)")
-		workers  = flag.Int("workers", 4, "blessd intake workers")
-		batchMax = flag.Int("batch-max", 64, "blessd batching window cap")
 		boundMS  = flag.Float64("bound-ms", 0, "per-tenant shed bound in virtual ms (0 = 4x iso)")
 		rate     = flag.Float64("rate", 0, "starting offered rate per tenant in virtual req/s (0 = half the probed bubble-free capacity)")
 		ramp     = flag.Float64("ramp", 2, "rate multiplier per step")
@@ -68,7 +68,7 @@ func main() {
 		inflight = flag.Int("inflight", 8, "pipelined in-flight requests per tenant")
 		conns    = flag.Int("conns", 4, "TCP connections to spread tenants over")
 
-		verify    = flag.Bool("verify", false, "run the serial-vs-concurrent digest check instead of a ramp")
+		verify    = flag.Bool("verify", false, "run the serial-vs-pipelined digest check instead of a ramp")
 		verifyReq = flag.Int("verify-requests", 4000, "requests per tenant in -verify mode")
 
 		check    = flag.Bool("check", false, "exit nonzero when thresholds fail")
@@ -82,8 +82,8 @@ func main() {
 
 	cfg := loadConfig{
 		addr: *addr, tenants: *tenants, app: *app, quota: *quota,
-		gpus: *gpus, gpuSMs: *gpuSMs, workers: *workers, batchMax: *batchMax,
-		boundMS: *boundMS, inflight: *inflight, conns: *conns,
+		gpus: *gpus, gpuSMs: *gpuSMs, boundMS: *boundMS,
+		inflight: *inflight, conns: *conns,
 	}
 	if cfg.quota <= 0 {
 		cfg.quota = 0.9 * float64(cfg.gpus) / float64(cfg.tenants)
@@ -110,14 +110,13 @@ func main() {
 }
 
 type loadConfig struct {
-	addr              string
-	tenants           int
-	app               string
-	quota             float64
-	gpus, gpuSMs      int
-	workers, batchMax int
-	boundMS           float64
-	inflight, conns   int
+	addr            string
+	tenants         int
+	app             string
+	quota           float64
+	gpus, gpuSMs    int
+	boundMS         float64
+	inflight, conns int
 }
 
 func (c loadConfig) tenantSpecs(rate float64) []serveapi.ServeTenant {
@@ -225,7 +224,6 @@ func probeCapacity(cfg loadConfig) (float64, error) {
 		Tenants: cfg.tenantSpecs(1),
 		GPUs:    cfg.gpus,
 		GPUSMs:  cfg.gpuSMs,
-		Workers: 1,
 	}, &opened); err != nil {
 		return 0, fmt.Errorf("capacity probe: %w", err)
 	}
@@ -285,11 +283,9 @@ func runStep(cfg loadConfig, rate float64, dur time.Duration, requests int) (ste
 
 	var opened serveapi.ServeOpenReply
 	open := serveapi.ServeOpenRequest{
-		Tenants:  cfg.tenantSpecs(rate),
-		GPUs:     cfg.gpus,
-		GPUSMs:   cfg.gpuSMs,
-		Workers:  cfg.workers,
-		BatchMax: cfg.batchMax,
+		Tenants: cfg.tenantSpecs(rate),
+		GPUs:    cfg.gpus,
+		GPUSMs:  cfg.gpuSMs,
 	}
 	if err := ctl.Call("Planner.ServeOpen", open, &opened); err != nil {
 		return step, err
@@ -402,34 +398,37 @@ func driveTenant(cl *rpc.Client, name string, deadline time.Time, total, infligh
 }
 
 // runVerify proves intake determinism: the same per-tenant seq streams —
-// overloaded enough to shed — through a serial (1-worker) and a concurrent
-// (N-worker) deployment must produce bit-identical digests.
+// overloaded enough to shed — sent serially (one connection, one request in
+// flight per tenant) and pipelined-concurrent (cfg's connections and
+// in-flight window, so seqs arrive out of order) must produce bit-identical
+// digests.
 func runVerify(cfg loadConfig, requests int) error {
 	// Overload deliberately: a rate far above the bubble-free quota rate
 	// forces the shed path into the digest on both runs.
 	rate := 1e6
+	serial := cfg
+	serial.conns, serial.inflight = 1, 1
 	digests := make([]string, 2)
 	sheds := make([]uint64, 2)
-	for i, workers := range []int{1, cfg.workers} {
-		run := cfg
-		run.workers = workers
+	for i, run := range []loadConfig{serial, cfg} {
+		mode := fmt.Sprintf("%d conn(s), %d in flight", run.conns, run.inflight)
 		step, err := runStep(run, rate, time.Minute, requests)
 		if err != nil {
-			return fmt.Errorf("verify (%d workers): %w", workers, err)
+			return fmt.Errorf("verify (%s): %w", mode, err)
 		}
 		if step.Completed != uint64(requests*cfg.tenants) {
-			return fmt.Errorf("verify (%d workers): completed %d of %d requests", workers, step.Completed, requests*cfg.tenants)
+			return fmt.Errorf("verify (%s): completed %d of %d requests", mode, step.Completed, requests*cfg.tenants)
 		}
 		if len(step.Violations) > 0 {
-			return fmt.Errorf("verify (%d workers): invariant violations: %v", workers, step.Violations)
+			return fmt.Errorf("verify (%s): invariant violations: %v", mode, step.Violations)
 		}
 		digests[i] = step.Digest
 		sheds[i] = step.Shed
-		log.Printf("verify: %d worker(s): digest %s, shed %d/%d", workers, step.Digest, step.Shed, requests*cfg.tenants)
+		log.Printf("verify: %s: digest %s, shed %d/%d", mode, step.Digest, step.Shed, requests*cfg.tenants)
 	}
 	if digests[0] != digests[1] {
 		fmt.Println(`{"verify":"FAIL"}`)
-		return fmt.Errorf("verify: digest mismatch: serial %s != concurrent %s", digests[0], digests[1])
+		return fmt.Errorf("verify: digest mismatch: serial %s != pipelined %s", digests[0], digests[1])
 	}
 	if sheds[0] == 0 {
 		return fmt.Errorf("verify: workload never shed — raise -verify-requests to exercise the shed path")

@@ -21,10 +21,10 @@ import (
 // Every decision is a pure function of (lane state, seq), and lane state
 // advances only by per-tenant seq order — cross-tenant interleaving cannot
 // influence any decision. That is the determinism backbone of the serving
-// path: any sharding of tenants across intake workers, any batching window,
-// and any concurrent arrival order produce bit-identical per-tenant
-// decision digests, which fold order-independently (XOR) into the serve
-// digest compared between serial and concurrent runs.
+// path: any interleaving of tenants across callers and any concurrent
+// arrival order produce bit-identical per-tenant decision digests, which
+// fold order-independently (XOR) into the serve digest compared between
+// serial and concurrent runs.
 type ServeLane struct {
 	// Interval is the tenant's nominal inter-arrival gap: request seq
 	// arrives at seq x Interval of virtual time.
@@ -134,8 +134,8 @@ func (l *ServeLane) Decide(seq int, d *ServeDecision) {
 
 // DecideBatch decides a contiguous run of n requests starting at firstSeq in
 // one pass, appending the decisions to out and returning the extended slice
-// — the batch-admission entry point the intake pipeline uses to plan one
-// batching window without per-request round-trips through the lane.
+// — the batch-admission entry point for a caller that holds a contiguous run
+// of seqs at once.
 func (l *ServeLane) DecideBatch(firstSeq, n int, out []ServeDecision) []ServeDecision {
 	for i := 0; i < n; i++ {
 		var d ServeDecision
@@ -179,8 +179,8 @@ func (l *ServeLane) Headroom() sim.Time {
 }
 
 // ServeDigest folds per-lane digests order-independently (XOR), so the fold
-// is invariant to tenant enumeration order and to how tenants were sharded
-// across intake workers.
+// is invariant to tenant enumeration order and to which goroutines decided
+// which tenants.
 func ServeDigest(lanes []*ServeLane) uint64 {
 	var h uint64
 	for _, l := range lanes {

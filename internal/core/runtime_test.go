@@ -308,3 +308,19 @@ func TestDeployFailureReleasesMemory(t *testing.T) {
 		t.Errorf("failed deployment left %d bytes reserved", used)
 	}
 }
+
+// TestNearestSlotTieBreak: two established contexts equally far from the
+// requested grant must resolve to the smaller one on every call, not to
+// whichever the map iteration happens to visit first.
+func TestNearestSlotTieBreak(t *testing.T) {
+	small, large := &restrictedSlot{}, &restrictedSlot{}
+	cs := &clientState{restricted: map[int]*restrictedSlot{40: small, 60: large}}
+	for i := 0; i < 100; i++ {
+		if got := cs.nearestSlot(50); got != small {
+			t.Fatalf("call %d: nearestSlot(50) chose the 60-SM slot over the 40-SM slot", i)
+		}
+	}
+	if got := cs.nearestSlot(55); got != large {
+		t.Error("nearestSlot(55) did not choose the strictly nearer 60-SM slot")
+	}
+}

@@ -88,9 +88,6 @@ const (
 	// queueing delay would exceed the tenant's bound; Predicted carries the
 	// retry-after delay returned to the client.
 	KindServeShed
-	// KindServeBatch fires once per intake batching window processed by a
-	// worker; Considered carries the batch size.
-	KindServeBatch
 )
 
 // String names the kind for exports and logs.
@@ -132,8 +129,6 @@ func (k Kind) String() string {
 		return "serve_intake"
 	case KindServeShed:
 		return "serve_shed"
-	case KindServeBatch:
-		return "serve_batch"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}

@@ -29,10 +29,13 @@ type ServeOpenRequest struct {
 	GPUs int
 	// GPUSMs overrides the per-device SM count (default 108).
 	GPUSMs int
-	// Workers is the intake shard count (default 4).
+	// Workers is kept for wire compatibility.
+	//
+	// Deprecated: ignored; each Serve call decides on its own RPC goroutine.
 	Workers int
-	// BatchMax caps how many queued requests one batching window plans in a
-	// single pass (default 64).
+	// BatchMax is kept for wire compatibility.
+	//
+	// Deprecated: ignored; there is no batching window.
 	BatchMax int
 	// Trace records per-decision serve events into a bounded ring exposed
 	// on /debug/bless/serve (off for the zero-alloc fast path).
@@ -44,7 +47,9 @@ type ServeTenantInfo struct {
 	Name string
 	// Device is the host device index from the placement pass.
 	Device int
-	// Worker is the intake shard that owns the tenant's lane.
+	// Worker is kept for wire compatibility.
+	//
+	// Deprecated: always 0; there are no intake workers.
 	Worker int
 	// IntervalNS, ServiceNS and BoundNS are the lane parameters: nominal
 	// inter-arrival gap, bubble-free iso cost at the tenant's quota, and
@@ -55,13 +60,17 @@ type ServeTenantInfo struct {
 // ServeOpenReply reports the opened deployment.
 type ServeOpenReply struct {
 	Tenants []ServeTenantInfo
+	// Workers is kept for wire compatibility.
+	//
+	// Deprecated: always 0; there are no intake workers.
 	Workers int
 	GPUs    int
 }
 
 // ServeRequest is one admission request. Seq is the per-tenant request
-// sequence number; each tenant's stream must arrive in seq order (0,1,2,…),
-// which a closed-loop client satisfies by construction.
+// sequence number; each tenant's stream is decided in seq order (0,1,2,…).
+// A seq that arrives ahead of its tenant's cursor waits for its
+// predecessors; one already decided is an error.
 type ServeRequest struct {
 	Tenant string
 	Seq    int
@@ -92,7 +101,9 @@ type ServeTenantStats struct {
 type ServeStatsReply struct {
 	Open                    bool
 	Offered, Admitted, Shed uint64
-	// Batches and BatchMeanSize describe the batching windows processed.
+	// Batches counts tenant-lock acquisitions that decided; BatchMeanSize
+	// is decisions per acquisition, above 1 only when a call released
+	// successors parked ahead of order.
 	Batches       uint64
 	BatchMeanSize float64
 	// Digest is the cross-tenant XOR fold of per-tenant decision digests —
@@ -103,7 +114,7 @@ type ServeStatsReply struct {
 	// delay.
 	WaitMeanNS, WaitP50NS, WaitP99NS int64
 	// DecisionMeanNS is the measured wall-clock scheduler cost per decision
-	// on the intake workers; BudgetNS is the §6.9 budget for one request
+	// under the tenant lock; BudgetNS is the §6.9 budget for one request
 	// (SchedPerKernel x the deployment's mean kernels per request); a
 	// sustained DecisionMeanNS above BudgetNS means the front end, not the
 	// GPU, is the bottleneck.

@@ -580,19 +580,6 @@ func (g *GPU) RemoveTracer(t Tracer) {
 	}
 }
 
-// SetTracer replaces ALL attached tracers with t (nil detaches everything).
-//
-// Deprecated: SetTracer silently dropped any previously attached tracer,
-// which prevented the timeline recorder and other observers from coexisting.
-// Use AddTracer instead; SetTracer is kept as a shim for older callers.
-func (g *GPU) SetTracer(t Tracer) {
-	g.tracers = g.tracers[:0]
-	g.allocTracers = g.allocTracers[:0]
-	g.enqTracers = g.enqTracers[:0]
-	g.removalTracers = g.removalTracers[:0]
-	g.AddTracer(t)
-}
-
 // notifyEnqueued tells enqueue tracers a kernel joined q's pending list.
 func (g *GPU) notifyEnqueued(q *Queue, k *Kernel) {
 	for _, t := range g.enqTracers {

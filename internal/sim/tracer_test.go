@@ -49,23 +49,6 @@ func TestRemoveTracer(t *testing.T) {
 	}
 }
 
-func TestSetTracerShimReplacesAll(t *testing.T) {
-	eng := NewEngine()
-	gpu := NewGPU(eng, DefaultConfig())
-	a, b := &countingTracer{}, &countingTracer{}
-	gpu.AddTracer(a)
-	gpu.SetTracer(b) // deprecated shim: replaces everything
-	runOneKernel(eng, gpu)
-	if a.starts != 0 || b.starts != 1 {
-		t.Fatalf("SetTracer shim did not replace: a=%+v b=%+v", a, b)
-	}
-	gpu.SetTracer(nil)
-	runOneKernel(eng, gpu)
-	if b.starts != 1 {
-		t.Fatalf("SetTracer(nil) did not detach: b=%+v", b)
-	}
-}
-
 // kernelHotPath executes n kernels back to back through one queue; the
 // per-kernel steady-state cost is what the tracing fan-out must not inflate.
 func kernelHotPath(eng *Engine, q *Queue, k *Kernel, n int) {

@@ -11,7 +11,7 @@ func TestRecorderCapturesSpans(t *testing.T) {
 	eng := sim.NewEngine()
 	gpu := sim.NewGPU(eng, sim.DefaultConfig())
 	rec := NewRecorder()
-	gpu.SetTracer(rec)
+	gpu.AddTracer(rec)
 
 	ctx, err := gpu.NewContext(sim.ContextOptions{SMLimit: 54, Label: "clientA", NoMemCharge: true})
 	if err != nil {
@@ -53,7 +53,7 @@ func TestRecorderLaneOverride(t *testing.T) {
 	gpu := sim.NewGPU(eng, sim.DefaultConfig())
 	rec := NewRecorder()
 	rec.LaneOf = func(q *sim.Queue) string { return "custom/" + q.Label() }
-	gpu.SetTracer(rec)
+	gpu.AddTracer(rec)
 	ctx, _ := gpu.NewContext(sim.ContextOptions{NoMemCharge: true})
 	ctx.NewQueue("x").Enqueue(0, &sim.Kernel{Name: "k", Kind: sim.Compute, Work: sim.Millisecond, SaturationSMs: 1}, nil)
 	eng.Run()
@@ -110,7 +110,7 @@ func TestRecorderLaneOfMergesQueues(t *testing.T) {
 	gpu := sim.NewGPU(eng, sim.DefaultConfig())
 	rec := NewRecorder()
 	rec.LaneOf = func(*sim.Queue) string { return "merged" }
-	gpu.SetTracer(rec)
+	gpu.AddTracer(rec)
 	for _, name := range []string{"a/default", "a/sm54"} {
 		ctx, err := gpu.NewContext(sim.ContextOptions{Label: name, NoMemCharge: true})
 		if err != nil {
@@ -163,7 +163,7 @@ func TestGanttConcurrentLanesShareTimeAxis(t *testing.T) {
 	eng := sim.NewEngine()
 	gpu := sim.NewGPU(eng, sim.DefaultConfig())
 	rec := NewRecorder()
-	gpu.SetTracer(rec)
+	gpu.AddTracer(rec)
 	for _, name := range []string{"c0", "c1"} {
 		ctx, _ := gpu.NewContext(sim.ContextOptions{SMLimit: 54, Label: name, NoMemCharge: true})
 		q := ctx.NewQueue(name)

@@ -3,8 +3,8 @@
 # boot the daemon, and run the two blessload gates against it over real TCP:
 #
 #   1. the determinism gate (-verify): identical per-tenant request streams
-#      through a serial (1-worker) and a concurrent (N-worker) deployment —
-#      overloaded enough to shed — must fold to bit-identical digests;
+#      from serial and pipelined-concurrent clients — overloaded enough to
+#      shed — must fold to bit-identical digests;
 #   2. the closed-loop ramp (-check): capacity-relative rate ladder up to the
 #      shed knee, failing on first-step (in-quota) shedding, on per-decision
 #      scheduler cost above the §6.9 budget, on serve-invariant violations,
@@ -51,7 +51,7 @@ until "$bindir/blessload" -addr "127.0.0.1:$PORT" -verify -verify-requests 100 >
     sleep 0.2
 done
 
-echo "== digest gate: serial vs concurrent intake (under load shed) =="
+echo "== digest gate: serial vs pipelined-concurrent clients (under load shed) =="
 "$bindir/blessload" -addr "127.0.0.1:$PORT" -verify -verify-requests 4000
 
 echo "== closed-loop ramp to the shed knee =="
