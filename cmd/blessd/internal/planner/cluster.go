@@ -3,20 +3,19 @@ package planner
 import (
 	"fmt"
 
-	"bless/internal/cluster"
+	"bless/internal/fleet"
 	"bless/internal/harness"
 	"bless/internal/metrics"
-	"bless/internal/model"
 	"bless/internal/obs"
-	"bless/internal/sharing"
 	"bless/internal/sim"
 )
 
 // planCluster is the multi-device plan path (PlanRequest.GPUs > 1): the
-// deployment is placed across a GPU pool by the §4.2.2 controller and every
-// device runs fully observed. The per-device registries and SLO trackers
-// merge into the daemon's fleet view, which ServeProm and ServeSLO expose —
-// per-tenant SLO attainment aggregated across the whole cluster run.
+// deployment is placed jointly across a GPU pool by the §4.2.2 controller
+// (fleet.AdmitBatch) and every device runs fully observed. The per-device
+// registries and SLO trackers merge into the daemon's fleet view, which
+// ServeProm and ServeSLO expose — per-tenant SLO attainment aggregated
+// across the whole cluster run.
 func (p *Planner) planCluster(req PlanRequest, reply *PlanReply) error {
 	if req.Faults != nil {
 		p.reg.Counter("plan_errors_total").Inc()
@@ -30,92 +29,60 @@ func (p *Planner) planCluster(req PlanRequest, reply *PlanReply) error {
 	if req.GPUSMs > 0 {
 		gpuCfg.SMs = req.GPUSMs
 	}
-
-	eng := sim.NewEngine()
-	clients := make([]*sharing.Client, len(req.Clients))
-	for i, c := range req.Clients {
-		app, err := model.Get(c.App)
-		if err != nil {
-			p.reg.Counter("plan_errors_total").Inc()
-			return fmt.Errorf("planner: %w", err)
-		}
-		prof, err := harness.ProfileFor(c.App, gpuCfg)
-		if err != nil {
-			p.reg.Counter("plan_errors_total").Inc()
-			return fmt.Errorf("planner: profiling %s: %w", c.App, err)
-		}
-		clients[i] = &sharing.Client{
-			ID: i, App: app, Profile: prof,
-			Quota:     c.Quota,
-			SLOTarget: ms(c.SLOTargetMS),
-		}
+	devices := make([]fleet.DeviceSpec, req.GPUs)
+	for i := range devices {
+		devices[i] = fleet.DeviceSpec{Config: gpuCfg}
 	}
-	cl, err := cluster.Deploy(eng, clients, cluster.Config{
-		GPUs:    req.GPUs,
-		GPU:     gpuCfg,
-		Observe: true,
-	})
+	f, err := fleet.New(fleet.Config{Devices: devices, Profile: harness.FleetProfile, Observe: true})
 	if err != nil {
 		p.reg.Counter("plan_errors_total").Inc()
 		return err
 	}
 
 	// Closed-loop (or burst) load per tenant, mirroring the single-device
-	// workload shapes.
-	lats := make([][]sim.Time, len(clients))
-	failed := make([]int, len(clients))
-	seqs := make([]int, len(clients))
-	cl.OnComplete(func(app int, r *sharing.Request) {
-		if r.Failed {
-			failed[app]++
-		} else {
-			lats[app] = append(lats[app], r.Latency())
+	// workload shapes: a closed-loop tenant submits one request at t=0 and
+	// then one per completion, a burst tenant submits all of its requests at
+	// t=0. Either way a tenant submits at most Requests in total.
+	tenants := make([]fleet.TenantSpec, len(req.Clients))
+	first := make([]int, len(req.Clients)) // t=0 submissions per tenant
+	for i, c := range req.Clients {
+		tenants[i] = fleet.TenantSpec{
+			Name:      fmt.Sprintf("c%d", i),
+			App:       c.App,
+			Quota:     c.Quota,
+			SLOTarget: ms(c.SLOTargetMS),
+			Think:     ms(c.ThinkMS),
+			Requests:  c.Requests,
 		}
-		c := req.Clients[app]
+		first[i] = 1
 		if c.Workload == "burst" {
-			return
-		}
-		if c.Requests > 0 && seqs[app] >= c.Requests {
-			return
-		}
-		at := r.Done + ms(c.ThinkMS)
-		if at > horizon {
-			return
-		}
-		eng.Schedule(at, func() {
-			seqs[app]++
-			cl.Submit(app, seqs[app])
-		})
-	})
-	for ai, c := range req.Clients {
-		ai := ai
-		n := 1
-		if c.Workload == "burst" {
-			n = c.Requests
-			if n <= 0 {
-				n = 1
-			}
-		}
-		for s := 0; s < n; s++ {
-			s := s
-			eng.Schedule(0, func() {
-				if s > 0 {
-					seqs[ai]++
-				}
-				cl.Submit(ai, s)
-			})
+			first[i] = max(c.Requests, 1)
+			tenants[i].Requests = first[i]
 		}
 	}
-	eng.RunUntil(horizon)
-	eng.Run()
+	if err := f.AdmitBatch(tenants); err != nil {
+		p.reg.Counter("plan_errors_total").Inc()
+		return fmt.Errorf("planner: %w", err)
+	}
+	for i, n := range first {
+		for s := 0; s < n; s++ {
+			if _, err := f.Submit(tenants[i].Name); err != nil {
+				return err
+			}
+		}
+	}
+	if err := f.Run(horizon); err != nil {
+		p.reg.Counter("plan_errors_total").Inc()
+		return err
+	}
 
 	// Fold the run's fleet views into the daemon's accumulated state.
 	p.mu.Lock()
-	p.fleet = obs.MergeSnapshots(p.fleet, cl.FleetSnapshot())
+	p.fleet = obs.MergeSnapshots(p.fleet, f.FleetSnapshot())
 	p.mu.Unlock()
-	p.slo.Merge(cl.FleetSLOTracker())
+	p.slo.Merge(f.FleetSLOTracker())
 	var buf writerBuf
-	if err := cl.WriteChromeTrace(&buf); err == nil {
+	if err := f.WriteChromeTrace(&buf); err == nil {
 		p.mu.Lock()
 		p.lastTrace = buf.b
 		p.mu.Unlock()
@@ -125,22 +92,26 @@ func (p *Planner) planCluster(req PlanRequest, reply *PlanReply) error {
 
 	reply.System = "BLESS"
 	reply.GPUs = req.GPUs
-	reply.Placement = make([]int, len(clients))
 	var util float64
-	for _, u := range cl.Utilization() {
-		util += u
+	snap := f.Snapshot()
+	for _, d := range snap.Devices {
+		util += d.Utilization
 	}
-	reply.Utilization = util / float64(cl.Devices())
-	reply.ElapsedMS = float64(eng.Now()) / float64(sim.Millisecond)
-	for ai, c := range clients {
-		reply.Placement[ai] = cl.Host(ai)
-		sum := metrics.Summarize(lats[ai])
-		iso := c.Profile.IsoAtQuota(c.Quota)
+	reply.Utilization = util / float64(len(snap.Devices))
+	reply.ElapsedMS = float64(f.Elapsed()) / float64(sim.Millisecond)
+	for _, r := range f.Results() {
+		reply.Placement = append(reply.Placement, r.Device)
+		_, prof, err := harness.FleetProfile(r.App, gpuCfg)
+		if err != nil {
+			return err
+		}
+		sum := metrics.Summarize(r.Latencies)
+		iso := prof.IsoAtQuota(r.Quota)
 		reply.PerClient = append(reply.PerClient, ClientOutcome{
-			App:            c.App.Name,
-			Quota:          c.Quota,
-			Completed:      len(lats[ai]),
-			Failed:         failed[ai],
+			App:            r.App,
+			Quota:          r.Quota,
+			Completed:      r.Completed,
+			Failed:         r.Failed,
 			MeanLatencyMS:  float64(sum.Mean) / float64(sim.Millisecond),
 			P99LatencyMS:   float64(sum.P99) / float64(sim.Millisecond),
 			ISOLatencyMS:   float64(iso) / float64(sim.Millisecond),

@@ -55,6 +55,31 @@ func TestPlanCluster(t *testing.T) {
 	}
 }
 
+// TestPlanClusterHonoursRequests: a multi-GPU plan bounds each client's
+// requests exactly as the single-device plan does — a closed-loop client
+// completes Requests, not Requests+1, and a burst client completes its
+// burst.
+func TestPlanClusterHonoursRequests(t *testing.T) {
+	req := clusterRequest()
+	for i := range req.Clients {
+		req.Clients[i].ThinkMS = 1
+		req.Clients[i].Requests = 3
+	}
+	req.Clients[3].Workload = "burst"
+	req.Clients[3].Requests = 2
+	var reply PlanReply
+	if err := New().Plan(req, &reply); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range reply.PerClient {
+		want := req.Clients[i].Requests
+		if c.Completed != want {
+			t.Errorf("client %d (%s, %s): completed %d, want %d",
+				i, c.App, req.Clients[i].Workload, c.Completed, want)
+		}
+	}
+}
+
 func TestPlanClusterRejectsFaults(t *testing.T) {
 	req := clusterRequest()
 	req.Faults = &FaultConfig{Seed: 1, KernelFaultRate: 0.01}

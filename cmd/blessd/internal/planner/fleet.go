@@ -8,8 +8,6 @@ import (
 	"bless/internal/chaos"
 	"bless/internal/fleet"
 	"bless/internal/harness"
-	"bless/internal/model"
-	"bless/internal/profiler"
 	"bless/internal/sim"
 )
 
@@ -192,10 +190,10 @@ func (p *Planner) FleetRoute(req FleetRouteRequest, reply *FleetRouteReply) erro
 		p.reg.Counter("plan_errors_total").Inc()
 		return err
 	}
-	f, err := fleet.New(sim.NewEngine(), fleet.Config{
+	f, err := fleet.New(fleet.Config{
 		Devices: specs,
 		Policy:  fleetPolicy(req.Policy),
-		Profile: fleetProfile,
+		Profile: harness.FleetProfile,
 	})
 	if err != nil {
 		p.reg.Counter("plan_errors_total").Inc()
@@ -226,20 +224,6 @@ func (p *Planner) FleetRoute(req FleetRouteRequest, reply *FleetRouteReply) erro
 	p.reg.Counter("plans_total").Inc()
 	p.reg.Counter("plans/fleet_route").Inc()
 	return nil
-}
-
-// fleetProfile resolves device-class profiles through the harness's
-// process-wide cache, so repeated fleet RPCs don't re-profile.
-func fleetProfile(app string, cfg sim.Config) (*model.App, *profiler.Profile, error) {
-	a, err := model.Get(app)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := harness.ProfileFor(app, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, p, nil
 }
 
 // FleetPlan simulates the fleet scenario and fills the reply. The fleet

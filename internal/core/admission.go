@@ -132,19 +132,6 @@ func (l *ServeLane) Decide(seq int, d *ServeDecision) {
 	l.digest = fnvFold(h, uint64(start))
 }
 
-// DecideBatch decides a contiguous run of n requests starting at firstSeq in
-// one pass, appending the decisions to out and returning the extended slice
-// — the batch-admission entry point for a caller that holds a contiguous run
-// of seqs at once.
-func (l *ServeLane) DecideBatch(firstSeq, n int, out []ServeDecision) []ServeDecision {
-	for i := 0; i < n; i++ {
-		var d ServeDecision
-		l.Decide(firstSeq+i, &d)
-		out = append(out, d)
-	}
-	return out
-}
-
 // Digest is the lane's decision-chain digest.
 func (l *ServeLane) Digest() uint64 { return l.digest }
 

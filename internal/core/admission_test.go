@@ -97,30 +97,6 @@ func TestServeLaneDigest(t *testing.T) {
 	}
 }
 
-func TestServeLaneDecideBatch(t *testing.T) {
-	one, _ := NewServeLane(10, 25, 30)
-	batch, _ := NewServeLane(10, 25, 30)
-	var d ServeDecision
-	var singles []ServeDecision
-	for seq := 0; seq < 20; seq++ {
-		one.Decide(seq, &d)
-		singles = append(singles, d)
-	}
-	out := batch.DecideBatch(0, 12, nil)
-	out = batch.DecideBatch(12, 8, out)
-	if len(out) != 20 {
-		t.Fatalf("batch decided %d, want 20", len(out))
-	}
-	for i := range out {
-		if out[i] != singles[i] {
-			t.Fatalf("seq %d: batch %+v != single %+v", i, out[i], singles[i])
-		}
-	}
-	if one.Digest() != batch.Digest() {
-		t.Error("batch and single-step digests diverge")
-	}
-}
-
 func TestServeLaneHeadroom(t *testing.T) {
 	l, _ := NewServeLane(10, 25, 30)
 	if l.Headroom() != 30 {

@@ -85,9 +85,9 @@ func (c *AutoscaleConfig) low() float64 {
 	return 0.30
 }
 
-// Start arms the control loop: one tick per rebalance interval up to the
+// start arms the control loop: one tick per rebalance interval up to the
 // horizon. Without a Rebalance config it is a no-op.
-func (f *Fleet) Start(horizon sim.Time) {
+func (f *Fleet) start(horizon sim.Time) {
 	if f.cfg.Rebalance == nil {
 		return
 	}

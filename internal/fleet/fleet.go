@@ -1,11 +1,11 @@
-// Package fleet is the control plane over a pool of BLESS devices: where
-// internal/cluster places a fixed tenant set once at deployment time, fleet
-// runs the pool as a living system — tenants are admitted against live
-// per-device load, routed by a pluggable policy on top of the §4.2.2
-// placement check, migrated between devices without a service pause (new
-// requests flow to the target while the source drains through the graceful
-// leave path), rebalanced when load skews, and the pool itself grows and
-// shrinks under an autoscaler.
+// Package fleet is the control plane over a pool of BLESS devices (§4.2.2:
+// one BLESS runtime per device, a central controller placing applications).
+// Tenants are placed jointly at deployment time (AdmitBatch) or admitted
+// one by one against live per-device load, routed by a pluggable policy on
+// top of the §4.2.2 placement check, migrated between devices without a
+// service pause (new requests flow to the target while the source drains
+// through the graceful leave path), rebalanced when load skews, and the
+// pool itself grows and shrinks under an autoscaler.
 //
 // Heterogeneity is physical: each device carries its own sim.Config, and a
 // device's SM count is its speed profile — compute kernels scale with SMs up
@@ -13,21 +13,17 @@
 // 108-SM one and the profiles used for placement are re-derived per device
 // class.
 //
-// A fleet runs in one of two execution modes. In embedded mode (New) every
-// device shares the caller's engine and the caller drives submissions and
-// control events directly — the mode unit tests and admission-only probes
-// use. In sharded mode (NewSharded) each device is pinned to one of N
-// engine shards advanced in lock-step windows by Run, with every
-// cross-device interaction — routing flips, migration drains, crash
-// recovery, control ticks — applied at window barriers in a canonical
-// order. Cross-device rules are defined per device, never per shard, so the
-// device→shard mapping is pure execution strategy: a run at any shard count
-// (including one) is bit-identical to any other. Control decisions that can
-// arrive in any order within one instant (migration triggers) are applied
-// in a canonical order, so permuting the trigger order cannot change the
-// outcome, and rebalance plans are pure functions of (seed, epoch,
-// snapshot) — the discipline that keeps serial and parallel runs
-// bit-identical.
+// Each device is pinned to one of N engine shards advanced in lock-step
+// windows by Run, with every cross-device interaction — routing flips,
+// migration drains, crash recovery, control ticks — applied at window
+// barriers in a canonical order. Cross-device rules are defined per device,
+// never per shard, so the device→shard mapping is pure execution strategy:
+// a run at any shard count (including one) is bit-identical to any other.
+// Control decisions that can arrive in any order within one instant
+// (migration triggers) are applied in a canonical order, so permuting the
+// trigger order cannot change the outcome, and rebalance plans are pure
+// functions of (seed, epoch, snapshot) — the discipline that keeps serial
+// and parallel runs bit-identical.
 package fleet
 
 import (
@@ -39,7 +35,6 @@ import (
 	"bless/internal/core"
 	"bless/internal/invariant"
 	"bless/internal/model"
-	"bless/internal/obs"
 	"bless/internal/profiler"
 	"bless/internal/sharing"
 	"bless/internal/sim"
@@ -98,11 +93,10 @@ type TenantSpec struct {
 	// for the SLO-attainment routing policy.
 	SLOTarget sim.Time
 	// Think is the closed-loop think time between a completion and the
-	// tenant's next submission. Only sharded runs (Fleet.Run) drive the
-	// closed loop; embedded-mode callers submit explicitly.
+	// tenant's next submission.
 	Think sim.Time
-	// Requests bounds the tenant's submissions in a sharded run (0 = keep
-	// submitting until the horizon).
+	// Requests bounds the tenant's submissions, explicit Submits included
+	// (0 = keep submitting until the horizon).
 	Requests int
 }
 
@@ -139,19 +133,23 @@ type Config struct {
 	// Autoscale enables the autoscaler (nil = disabled). Requires Rebalance
 	// (the control loop ticks on its interval).
 	Autoscale *AutoscaleConfig
-	// Shards is the engine-shard count for NewSharded (0 or 1 = one shard;
-	// the coordinator/exchange path runs identically at every count).
+	// Shards is the engine-shard count (0 or 1 = one shard; the
+	// coordinator/exchange path runs identically at every count).
 	Shards int
 	// ShardOf optionally overrides the device→shard mapping (default:
 	// device id modulo shard count). The mapping is execution strategy
 	// only; permuting it cannot change a run's digests.
 	ShardOf func(device int) int
 	// ExchangeLatency is the cross-device handoff latency ε applied to
-	// migration-drain completion notifications in sharded runs (default
-	// 100µs virtual). It models the routing-layer hop between a draining
-	// source device and the tenant's owner, and bounds every lock-step
-	// window so no shard can outrun a message addressed to it.
+	// migration-drain completion notifications (default 100µs virtual). It
+	// models the routing-layer hop between a draining source device and the
+	// tenant's owner, and bounds every lock-step window so no shard can
+	// outrun a message addressed to it.
 	ExchangeLatency sim.Time
+	// Observe attaches per-device observability (bus, collector, registry,
+	// SLO tracker, device-stamped events) so FleetSnapshot,
+	// FleetSLOTracker and WriteChromeTrace have data after the run.
+	Observe bool
 }
 
 // Stats counts control-plane activity over the fleet's lifetime.
@@ -204,13 +202,13 @@ type tenant struct {
 	latencySum sim.Time
 	migrations int
 
-	// timers are the pending closed-loop submit events (sharded runs).
-	// They live on the owner shard's engine and move with the host.
+	// timers are the pending closed-loop submit events. They live on the
+	// owner shard's engine and move with the host.
 	timers []*workTimer
 }
 
 // device is one pool member: a simulated GPU, its BLESS runtime, and the
-// obs-backed load registry the routing policies read.
+// plain load counters the routing policies read.
 type device struct {
 	id       int
 	spec     DeviceSpec
@@ -218,12 +216,10 @@ type device struct {
 	gpu      *sim.GPU
 	env      *sharing.Env
 	rt       *core.Runtime
-	bus      *obs.Bus
-	reg      *obs.Registry
-	slo      *obs.SLOTracker
-	deployed bool // core.Runtime deploys with its first resident
-	retired  bool // cordoned by the autoscaler: no new placements
-	dead     bool // crashed
+	obs      *deviceObs // nil unless Config.Observe
+	deployed bool       // core.Runtime deploys with its first resident set
+	retired  bool       // cordoned by the autoscaler: no new placements
+	dead     bool       // crashed
 
 	shard  *shardState // the engine shard this device is pinned to
 	outSeq uint64      // per-device exchange-record ordinal (canonical tie-break)
@@ -243,16 +239,14 @@ type device struct {
 // Fleet is a running control plane. Not safe for concurrent use; like the
 // engine it drives, a fleet is single-threaded within one simulation.
 type Fleet struct {
-	eng     *sim.Engine // embedded-mode engine (nil in sharded mode)
-	ctrl    *sim.Engine // control-plane engine (== eng in embedded mode)
+	ctrl    *sim.Engine // control-plane engine: ticks, migrations, crashes
 	cfg     Config
 	policy  Policy
 	profile ProfileFunc
 	checker *invariant.FleetChecker
 
-	// Sharded execution (NewSharded). The coordinator state — exchange
-	// inbox, drain count, window bookkeeping — is only touched at barriers.
-	sharded bool
+	// Lock-step execution. The coordinator state — exchange inbox, drain
+	// count, window bookkeeping — is only touched at barriers.
 	set     *sim.ShardSet
 	shards  []*shardState
 	eps     sim.Time // exchange latency ε, the windows' lookahead bound
@@ -278,25 +272,11 @@ type Fleet struct {
 	stats Stats
 }
 
-// New assembles the pool and its per-device runtimes on the given engine —
-// embedded mode: the caller owns the engine and drives submissions and
-// control events directly.
-func New(eng *sim.Engine, cfg Config) (*Fleet, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("fleet: nil engine")
-	}
-	f, err := newFleet(cfg)
-	if err != nil {
-		return nil, err
-	}
-	f.eng, f.ctrl = eng, eng
-	f.shards = []*shardState{{id: 0, eng: eng}}
-	return f, f.addInitialDevices()
-}
-
-// newFleet validates the config and builds the engine-less skeleton shared
-// by both constructors.
-func newFleet(cfg Config) (*Fleet, error) {
+// New assembles the pool across cfg.Shards engine shards (0 or 1 = a
+// single shard — same coordinator path, zero parallelism). Admit tenants,
+// optionally Submit their first requests or schedule migrations and
+// crashes, then drive the run with Run (or Begin, RunTo and Finish).
+func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Devices) == 0 {
 		return nil, fmt.Errorf("fleet: need at least one device")
 	}
@@ -309,6 +289,8 @@ func newFleet(cfg Config) (*Fleet, error) {
 		profile: cfg.Profile,
 		checker: cfg.Checker,
 		tenants: make(map[string]*tenant),
+		ctrl:    sim.NewEngine(),
+		eps:     cfg.ExchangeLatency,
 	}
 	if f.policy == "" {
 		f.policy = PolicyLeastLoaded
@@ -319,20 +301,28 @@ func newFleet(cfg Config) (*Fleet, error) {
 	if f.profile == nil {
 		f.profile = defaultProfile
 	}
+	if f.eps <= 0 {
+		f.eps = DefaultExchangeLatency
+	}
+	n := cfg.Shards
+	if n < 1 {
+		n = 1
+	}
+	f.set = sim.NewShardSet(n)
+	f.shards = make([]*shardState, n)
+	for i := range f.shards {
+		f.shards[i] = &shardState{id: i, eng: f.set.Shard(i)}
+	}
+	for _, spec := range cfg.Devices {
+		if _, err := f.AddDevice(spec); err != nil {
+			f.set.Close()
+			return nil, err
+		}
+	}
 	return f, nil
 }
 
-func (f *Fleet) addInitialDevices() error {
-	for _, spec := range f.cfg.Devices {
-		if _, err := f.AddDevice(spec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// now is the control-plane clock: the shared engine in embedded mode, the
-// control engine in sharded mode. Only valid outside shard windows.
+// now is the control-plane clock. Only valid outside shard windows.
 func (f *Fleet) now() sim.Time { return f.ctrl.Now() }
 
 // shardIndex maps a device to its engine shard.
@@ -348,7 +338,7 @@ func (f *Fleet) shardIndex(dev int) int {
 }
 
 // AddDevice grows the pool by one device and returns its index. The device's
-// runtime deploys lazily with its first resident.
+// runtime deploys lazily with its first resident set.
 func (f *Fleet) AddDevice(spec DeviceSpec) (int, error) {
 	cfg := spec.Config
 	if cfg.SMs == 0 {
@@ -371,36 +361,13 @@ func (f *Fleet) AddDevice(spec DeviceSpec) (int, error) {
 		cfg:       cfg,
 		gpu:       sim.NewGPU(sh.eng, cfg),
 		rt:        core.New(opts),
-		bus:       obs.NewBus(),
-		reg:       obs.NewRegistry(),
-		slo:       obs.NewSLOTracker(),
 		shard:     sh,
 		residents: make(map[int]*residency),
 	}
 	d.env = &sharing.Env{Eng: sh.eng, GPU: d.gpu}
-	// The obs signals are the device's load registry: request counters and
-	// the latency histogram stream in from the runtime's decision bus.
-	reg := d.reg
-	d.bus.Subscribe(obs.SubscriberFunc(func(ev obs.Event) {
-		switch ev.Kind {
-		case obs.KindRequestAdmitted:
-			reg.Counter("requests/admitted_total").Inc()
-		case obs.KindRequestDone:
-			if ev.Reason == "failed" {
-				reg.Counter("requests/failed_total").Inc()
-			} else {
-				reg.Counter("requests/completed_total").Inc()
-				reg.Histogram("latency/request_ns").Observe(ev.Actual)
-			}
-		case obs.KindClientJoin:
-			reg.Counter("clients/joined_total").Inc()
-		case obs.KindClientLeave:
-			reg.Counter("clients/left_total").Inc()
-		case obs.KindClientCrash:
-			reg.Counter("clients/crashed_total").Inc()
-		}
-	}))
-	d.rt.Observe(d.bus)
+	if f.cfg.Observe {
+		d.observe()
+	}
 	dev := d
 	d.env.OnComplete = func(r *sharing.Request) { f.completed(dev, r) }
 	f.devices = append(f.devices, d)
@@ -441,91 +408,187 @@ func (f *Fleet) Admit(spec TenantSpec) error {
 	return nil
 }
 
-// AdmitBatch admits a batch of tenants in one admission pass — the
-// batch-admission entry point the serving front end uses to open a tenant
-// set without per-tenant control-plane round-trips. The whole batch is
-// pre-validated first (names, quotas, duplicates — including duplicates
-// within the batch), so a malformed batch is rejected atomically before any
-// tenant lands; placement then proceeds in batch order and stops at the
-// first tenant the pool cannot host, reporting how many were admitted.
-// Placement is load-aware per admission, so earlier tenants in the batch
-// influence later routing exactly as sequential Admit calls would — the
-// batch is a performance shape, not a different policy.
-func (f *Fleet) AdmitBatch(specs []TenantSpec) (admitted int, err error) {
+// AdmitBatch places a tenant set jointly on a pool with no tenants yet —
+// the §4.2.2 central controller. The batch is validated up front (names,
+// quotas, duplicates within the batch), then core.Place assigns every
+// tenant at once (largest memory first, backtracking across devices), so a
+// set that per-tenant routing would strand still lands. Each device then
+// deploys its whole resident set in one runtime Deploy. Placement runs on
+// profiles for the first live device's class. A batch that fails
+// validation or placement admits nothing.
+func (f *Fleet) AdmitBatch(specs []TenantSpec) error {
 	seen := make(map[string]bool, len(specs))
 	for _, spec := range specs {
 		if spec.Name == "" {
-			return 0, fmt.Errorf("fleet: batch tenant needs a name")
+			return fmt.Errorf("fleet: batch tenant needs a name")
 		}
 		if seen[spec.Name] {
-			return 0, fmt.Errorf("fleet: batch admits tenant %q twice", spec.Name)
+			return fmt.Errorf("fleet: batch admits tenant %q twice", spec.Name)
 		}
 		seen[spec.Name] = true
 		if _, ok := f.tenants[spec.Name]; ok {
-			return 0, fmt.Errorf("fleet: tenant %q already admitted", spec.Name)
+			return fmt.Errorf("fleet: tenant %q already admitted", spec.Name)
 		}
 		if spec.Quota <= 0 || spec.Quota > 1 {
-			return 0, fmt.Errorf("fleet: tenant %q quota %g outside (0,1]", spec.Name, spec.Quota)
+			return fmt.Errorf("fleet: tenant %q quota %g outside (0,1]", spec.Name, spec.Quota)
 		}
 	}
+	if len(f.tenants) > 0 {
+		return fmt.Errorf("fleet: batch admission needs a pool with no tenants (have %d)", len(f.tenants))
+	}
+	var live []*device
+	for _, d := range f.devices {
+		if !d.retired {
+			live = append(live, d)
+		}
+	}
+	if len(live) == 0 {
+		return fmt.Errorf("fleet: batch admission: no live devices")
+	}
+	apps := make([]core.PlacementApp, len(specs))
 	for i, spec := range specs {
-		if err := f.Admit(spec); err != nil {
-			return i, fmt.Errorf("fleet: batch admission stopped at %d/%d: %w", i, len(specs), err)
+		_, prof, err := f.profile(spec.App, live[0].cfg)
+		if err != nil {
+			return fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
+		}
+		apps[i] = core.PlacementApp{Name: spec.Name, Profile: prof, Quota: spec.Quota}
+	}
+	gpus := make([]core.PlacementGPU, len(live))
+	for i, d := range live {
+		gpus[i] = core.PlacementGPU{ID: d.spec.Name, Config: d.cfg}
+	}
+	placement, err := core.Place(apps, gpus, core.PlacementOptions{})
+	if err != nil {
+		f.stats.AdmitRejected += len(specs)
+		return fmt.Errorf("fleet: batch admission: %w", err)
+	}
+	ts := make([]*tenant, len(specs))
+	for i, spec := range specs {
+		ts[i] = &tenant{spec: spec, pending: make(map[int]*residency)}
+	}
+	// A device that refuses its deployment (Place's checks rule that out)
+	// stops the batch; tenants on devices deployed before it stay admitted.
+	for gi, dev := range live {
+		var members []*tenant
+		for i, t := range ts {
+			if placement[i] == gi {
+				members = append(members, t)
+			}
+		}
+		if len(members) == 0 {
+			continue
+		}
+		rs, derr := f.deploy(dev, members)
+		if derr != nil {
+			err = fmt.Errorf("fleet: batch admission: %w", derr)
+			break
+		}
+		for i, t := range members {
+			t.host = rs[i]
 		}
 	}
-	return len(specs), nil
+	for _, t := range ts {
+		if t.host == nil {
+			f.stats.AdmitRejected++
+			continue
+		}
+		f.tenants[t.spec.Name] = t
+		f.names = append(f.names, t.spec.Name)
+		f.stats.Admitted++
+	}
+	return err
 }
 
-// place creates a residency for the tenant on the device: the device-class
-// profile is resolved, the local client built on the next dense slot, and
-// the runtime deployed (first resident) or joined mid-run (sharing.Dynamic).
+// place creates a residency for the tenant on the device and returns it:
+// the device deploys with the tenant as its first resident, or the tenant
+// joins the running deployment (sharing.Dynamic).
 func (f *Fleet) place(t *tenant, dev *device) (*residency, error) {
+	if !dev.deployed {
+		rs, err := f.deploy(dev, []*tenant{t})
+		if err != nil {
+			return nil, err
+		}
+		return rs[0], nil
+	}
+	res, err := f.residency(t, dev, dev.nextLocal)
+	if err != nil {
+		return nil, err
+	}
+	if err := dev.rt.AddClient(res.client); err != nil {
+		return nil, fmt.Errorf("device %s: %w", dev.spec.Name, err)
+	}
+	f.settle(res)
+	return res, nil
+}
+
+// deploy deploys an undeployed device with its whole resident set in one
+// runtime Deploy, returning the residencies in ts order.
+func (f *Fleet) deploy(dev *device, ts []*tenant) ([]*residency, error) {
+	rs := make([]*residency, len(ts))
+	clients := make([]*sharing.Client, len(ts))
+	for i, t := range ts {
+		res, err := f.residency(t, dev, dev.nextLocal+i)
+		if err != nil {
+			return nil, err
+		}
+		rs[i], clients[i] = res, res.client
+	}
+	dev.env.Clients = clients
+	if err := dev.rt.Deploy(dev.env); err != nil {
+		dev.env.Clients = nil
+		return nil, fmt.Errorf("device %s: %w", dev.spec.Name, err)
+	}
+	dev.deployed = true
+	for _, res := range rs {
+		f.settle(res)
+	}
+	return rs, nil
+}
+
+// residency builds the tenant's residency on the device under local ID
+// local, resolving the device-class profile.
+func (f *Fleet) residency(t *tenant, dev *device, local int) (*residency, error) {
 	app, prof, err := f.profile(t.spec.App, dev.cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := &sharing.Client{
-		ID:        dev.nextLocal,
-		App:       app,
-		Profile:   prof,
-		Quota:     t.spec.Quota,
-		SLOTarget: t.spec.SLOTarget,
-	}
-	if !dev.deployed {
-		dev.env.Clients = []*sharing.Client{c}
-		if err := dev.rt.Deploy(dev.env); err != nil {
-			dev.env.Clients = nil
-			return nil, fmt.Errorf("device %s: %w", dev.spec.Name, err)
-		}
-		dev.deployed = true
-	} else {
-		if err := dev.rt.AddClient(c); err != nil {
-			return nil, fmt.Errorf("device %s: %w", dev.spec.Name, err)
-		}
-	}
 	lim := profiler.DefaultAdmissionLimits()
-	res := &residency{
-		t:      t,
-		dev:    dev,
-		local:  c.ID,
-		quota:  t.spec.Quota,
-		mem:    prof.MemoryBytes + int64(lim.ContextsPerClient)*dev.cfg.ContextMemBytes,
-		prof:   prof,
-		client: c,
-	}
+	return &residency{
+		t:     t,
+		dev:   dev,
+		local: local,
+		quota: t.spec.Quota,
+		mem:   prof.MemoryBytes + int64(lim.ContextsPerClient)*dev.cfg.ContextMemBytes,
+		prof:  prof,
+		client: &sharing.Client{
+			ID:        local,
+			App:       app,
+			Profile:   prof,
+			Quota:     t.spec.Quota,
+			SLOTarget: t.spec.SLOTarget,
+		},
+	}, nil
+}
+
+// settle records a residency the runtime has accepted on its device.
+func (f *Fleet) settle(res *residency) {
+	dev := res.dev
 	dev.nextLocal++
 	dev.residents[res.local] = res
 	dev.quota += res.quota
 	dev.mem += res.mem
-	dev.slo.SetTarget(t.spec.Name, t.spec.SLOTarget)
-	if f.checker != nil {
-		f.checker.TenantAdmitted(f.now(), t.spec.Name, dev.id, res.quota)
+	if dev.obs != nil {
+		dev.obs.target(res.client)
 	}
-	return res, nil
+	if f.checker != nil {
+		f.checker.TenantAdmitted(f.now(), res.t.spec.Name, dev.id, res.quota)
+	}
 }
 
 // Submit routes the tenant's next request to its current host device at the
-// current virtual time and returns the request handle.
+// current virtual time and returns the request handle. Call it before Begin
+// (t=0 requests, issued in call order) or at a RunTo pause, never from
+// inside a window.
 func (f *Fleet) Submit(name string) (*sharing.Request, error) {
 	t, ok := f.tenants[name]
 	if !ok {
@@ -534,8 +597,8 @@ func (f *Fleet) Submit(name string) (*sharing.Request, error) {
 	return f.submit(t)
 }
 
-// submit issues the tenant's next request on its owner shard. In a sharded
-// run it is only called from the owner shard (timers) or at barriers.
+// submit issues the tenant's next request on its owner shard. It is only
+// called from the owner shard (timers) or outside windows.
 func (f *Fleet) submit(t *tenant) (*sharing.Request, error) {
 	if t.evicted {
 		return nil, fmt.Errorf("fleet: tenant %q was evicted", t.spec.Name)
@@ -556,12 +619,12 @@ func (f *Fleet) submit(t *tenant) (*sharing.Request, error) {
 }
 
 // completed is every device's env.OnComplete: it settles the device-local
-// request accounting and feeds the SLO tracker. Completions of live (owner)
+// request accounting and the SLO counters. Completions of live (owner)
 // residencies settle the tenant-side accounting in place; completions of
-// draining migration sources in a sharded run instead emit an exchange
-// record delivered to the owner ε later at a barrier — the tenant may be
-// owned by another shard, and the ε rule applies at every shard count so
-// the shard mapping stays execution-only.
+// draining migration sources instead emit an exchange record delivered to
+// the owner ε later at a barrier — the tenant may be owned by another
+// shard, and the ε rule applies at every shard count so the shard mapping
+// stays execution-only.
 func (f *Fleet) completed(dev *device, r *sharing.Request) {
 	res, ok := dev.residents[r.Client.ID]
 	if !ok {
@@ -583,9 +646,8 @@ func (f *Fleet) completed(dev *device, r *sharing.Request) {
 			dev.sloMiss++
 		}
 	}
-	dev.slo.Observe(t.spec.Name, t.spec.SLOTarget, lat, r.Failed)
 	sh := dev.shard
-	if f.sharded && res.draining {
+	if res.draining {
 		drained := res.pending == 0
 		if drained {
 			f.finishDrainLocal(res, r.Done)
@@ -611,18 +673,13 @@ func (f *Fleet) completed(dev *device, r *sharing.Request) {
 	}
 	t.order = append(t.order, r.Seq)
 	f.noteCompleted(sh, r.Done, dev, t, r.Seq, r.Failed)
-	if res.draining && res.pending == 0 {
-		f.finishDrain(res)
-	}
-	if f.sharded {
-		f.scheduleNext(t, r.Seq, r.Done, 0)
-	}
+	f.scheduleNext(t, r.Done, 0)
 }
 
-// finishDrain retires a migration-source residency whose backlog has
-// finished: the runtime has released the client (graceful-leave semantics),
-// so the fleet-side subscription drops with it. Embedded mode and barriers
-// only; window-time drain finishes go through finishDrainLocal.
+// finishDrain retires a migration-source residency whose backlog finished
+// before the migration applied: the runtime has released the client
+// (graceful-leave semantics), so the fleet-side subscription drops with it.
+// Barriers only; window-time drain finishes go through finishDrainLocal.
 func (f *Fleet) finishDrain(res *residency) {
 	dev, t := res.dev, res.t
 	delete(dev.residents, res.local)
@@ -662,16 +719,9 @@ func (f *Fleet) Stats() Stats {
 // Devices returns the pool size, retired and crashed devices included.
 func (f *Fleet) Devices() int { return len(f.devices) }
 
-// Engine returns the shared simulation engine in embedded mode; nil for a
-// sharded fleet (devices live on per-shard engines there).
-func (f *Fleet) Engine() *sim.Engine { return f.eng }
-
-// Elapsed reports the fleet's virtual time: the furthest device clock in a
-// sharded run, the shared engine's clock in embedded mode.
+// Elapsed reports the fleet's virtual time: the furthest device or control
+// clock.
 func (f *Fleet) Elapsed() sim.Time {
-	if !f.sharded {
-		return f.eng.Now()
-	}
 	at := f.set.Now()
 	if c := f.ctrl.Now(); c > at {
 		at = c
@@ -722,7 +772,7 @@ func (f *Fleet) Results() []TenantResult {
 
 // CompletionDigest folds every tenant's outcome — app, completion order,
 // failure count, eviction — into one timing-free FNV-1a digest. Two runs of
-// the same scenario must match bit-for-bit regardless of execution mode
+// the same scenario must match bit-for-bit regardless of shard count
 // (serial vs parallel workers) or of the order same-instant migration
 // triggers arrived in.
 func (f *Fleet) CompletionDigest() uint64 {

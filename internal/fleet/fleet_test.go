@@ -31,22 +31,21 @@ func testProfile(app string, cfg sim.Config) (*model.App, *profiler.Profile, err
 	return a, p, nil
 }
 
-func pool(t *testing.T, n int, checker *invariant.FleetChecker) (*sim.Engine, *Fleet) {
+func pool(t *testing.T, n int, checker *invariant.FleetChecker) *Fleet {
 	t.Helper()
-	eng := sim.NewEngine()
 	devices := make([]DeviceSpec, n)
 	for i := range devices {
 		devices[i] = DeviceClass("", 108, 40<<30)
 	}
-	f, err := New(eng, Config{Devices: devices, Profile: testProfile, Checker: checker})
+	f, err := New(Config{Devices: devices, Profile: testProfile, Checker: checker})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, f
+	return f
 }
 
 func TestAdmitRoutesLeastLoaded(t *testing.T) {
-	_, f := pool(t, 3, nil)
+	f := pool(t, 3, nil)
 	for i, name := range []string{"a", "b", "c"} {
 		if err := f.Admit(TenantSpec{Name: name, App: "resnet50", Quota: 0.3}); err != nil {
 			t.Fatal(err)
@@ -66,7 +65,7 @@ func TestAdmitRoutesLeastLoaded(t *testing.T) {
 }
 
 func TestAdmitRejectsWhenNothingFits(t *testing.T) {
-	_, f := pool(t, 2, nil)
+	f := pool(t, 2, nil)
 	for _, name := range []string{"a", "b"} {
 		if err := f.Admit(TenantSpec{Name: name, App: "resnet50", Quota: 0.9}); err != nil {
 			t.Fatal(err)
@@ -85,7 +84,7 @@ func TestAdmitRejectsWhenNothingFits(t *testing.T) {
 }
 
 func TestDuplicateTenantAndBadQuota(t *testing.T) {
-	_, f := pool(t, 1, nil)
+	f := pool(t, 1, nil)
 	if err := f.Admit(TenantSpec{Name: "a", App: "vgg11", Quota: 0.4}); err != nil {
 		t.Fatal(err)
 	}
@@ -99,24 +98,22 @@ func TestDuplicateTenantAndBadQuota(t *testing.T) {
 
 func TestMigrateDrainsSourceAndFlipsRouting(t *testing.T) {
 	checker := invariant.NewFleetChecker(invariant.FleetOptions{})
-	eng, f := pool(t, 2, checker)
-	if err := f.Admit(TenantSpec{Name: "a", App: "resnet50", Quota: 0.5}); err != nil {
+	f := pool(t, 2, checker)
+	if err := f.Admit(TenantSpec{Name: "a", App: "resnet50", Quota: 0.5, Requests: 4}); err != nil {
 		t.Fatal(err)
 	}
-	// Backlog on the source, then migrate mid-flight.
-	eng.Schedule(0, func() {
-		for i := 0; i < 3; i++ {
-			f.Submit("a")
+	// Backlog on the source at t=0, then migrate mid-flight. The fourth
+	// request follows the first completion, after the trigger, so it flows
+	// to the target.
+	for i := 0; i < 3; i++ {
+		if _, err := f.Submit("a"); err != nil {
+			t.Fatal(err)
 		}
-	})
-	eng.Schedule(sim.Millisecond, func() {
-		if err := f.Migrate("a", 1); err != nil {
-			t.Errorf("migrate: %v", err)
-		}
-		// New work after the trigger flows to the target.
-		f.Submit("a")
-	})
-	eng.Run()
+	}
+	f.ScheduleMigration(sim.Millisecond, "a", 1)
+	if err := f.Run(sim.Second); err != nil {
+		t.Fatal(err)
+	}
 	st := f.Stats()
 	if st.Migrations != 1 || st.MigrationsCompleted != 1 {
 		t.Fatalf("migrations=%d completed=%d, want 1/1", st.Migrations, st.MigrationsCompleted)
@@ -128,7 +125,10 @@ func TestMigrateDrainsSourceAndFlipsRouting(t *testing.T) {
 	if snap.Devices[0].QuotaSubscribed != 0 {
 		t.Fatalf("source still subscribed %g after drain", snap.Devices[0].QuotaSubscribed)
 	}
-	rep := checker.Report(eng.Now())
+	if snap.Devices[1].Completed != 1 {
+		t.Fatalf("target completed %d requests, want the post-trigger 1", snap.Devices[1].Completed)
+	}
+	rep := checker.Report(f.Elapsed())
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,38 +138,48 @@ func TestMigrateDrainsSourceAndFlipsRouting(t *testing.T) {
 }
 
 func TestMigrateRejectsSecondWhileDraining(t *testing.T) {
-	eng, f := pool(t, 3, nil)
-	if err := f.Admit(TenantSpec{Name: "a", App: "resnet50", Quota: 0.5}); err != nil {
+	f := pool(t, 3, nil)
+	if err := f.Admit(TenantSpec{Name: "a", App: "resnet50", Quota: 0.5, Requests: 1}); err != nil {
 		t.Fatal(err)
 	}
-	var second error
-	eng.Schedule(0, func() {
-		f.Submit("a")
-		f.Migrate("a", 1)
-	})
-	// The move applies at the end of instant 0; by 1ms the source is
-	// draining and a second migration must be refused.
-	eng.Schedule(sim.Millisecond, func() { second = f.Migrate("a", 2) })
-	eng.RunUntil(2 * sim.Millisecond)
-	if second == nil {
+	if _, err := f.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
+	f.ScheduleMigration(0, "a", 1)
+	if err := f.Begin(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Finish()
+	// The move applies at the t=0 barrier; by 1ms the source is draining
+	// and a second migration must be refused.
+	if _, err := f.RunTo(sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Migrate("a", 2); err == nil {
 		t.Fatal("second migration accepted while the first still drains")
 	}
-	eng.Run()
+	if _, err := f.RunTo(-1); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCrashEvictsWhenNoCapacity(t *testing.T) {
 	checker := invariant.NewFleetChecker(invariant.FleetOptions{})
-	eng, f := pool(t, 2, checker)
+	f := pool(t, 2, checker)
 	// Fill device 1 completely so a's tenant cannot be re-placed.
-	if err := f.Admit(TenantSpec{Name: "a", App: "resnet50", Quota: 0.9}); err != nil {
+	if err := f.Admit(TenantSpec{Name: "a", App: "resnet50", Quota: 0.9, Requests: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Admit(TenantSpec{Name: "b", App: "resnet50", Quota: 0.9}); err != nil {
+	if err := f.Admit(TenantSpec{Name: "b", App: "resnet50", Quota: 0.9, Requests: 1}); err != nil {
 		t.Fatal(err)
 	}
-	eng.Schedule(0, func() { f.Submit("a") })
-	eng.Schedule(sim.Millisecond, func() { f.CrashDevice(0) })
-	eng.Run()
+	if _, err := f.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
+	f.ScheduleCrash(sim.Millisecond, 0)
+	if err := f.Run(sim.Second); err != nil {
+		t.Fatal(err)
+	}
 	st := f.Stats()
 	if st.Evicted != 1 {
 		t.Fatalf("evicted=%d, want 1", st.Evicted)
@@ -178,7 +188,7 @@ func TestCrashEvictsWhenNoCapacity(t *testing.T) {
 		t.Fatal("submit to evicted tenant succeeded")
 	}
 	// Eviction is exempt from the delivery check, like a crashed client.
-	if err := checker.Report(eng.Now()).Err(); err != nil {
+	if err := checker.Report(f.Elapsed()).Err(); err != nil {
 		t.Fatal(err)
 	}
 }

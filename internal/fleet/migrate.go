@@ -147,12 +147,10 @@ func (f *Fleet) CrashDevice(id int) error {
 		return fmt.Errorf("fleet: device %s already crashed", d.spec.Name)
 	}
 	now := f.now()
-	if f.sharded {
-		// Deliver the device's in-flight exchange records first: those
-		// completions happened before the crash, and resubmitting them from
-		// the teardown would duplicate a delivery.
-		f.flushDead(id, now)
-	}
+	// Deliver the device's in-flight exchange records first: those
+	// completions happened before the crash, and resubmitting them from the
+	// teardown would duplicate a delivery.
+	f.flushDead(id, now)
 	d.dead = true
 	d.retired = true
 	f.stats.DeviceCrashes++

@@ -9,7 +9,7 @@ import (
 )
 
 // ExportState captures the fleet's complete observable logical state at the
-// current barrier of a paused sharded run (RunTo with a stop point). Every
+// current barrier of a paused run (RunTo with a stop point). Every
 // section is keyed on canonical entities — devices by id, tenants in
 // admission order, outstanding requests by ascending sequence, exchange
 // records by their (deliver, dev, seq) key — and per-shard engine internals
@@ -21,9 +21,6 @@ import (
 // replaying the generating scenario to the same barrier, then proving the
 // replayed export matches this one byte-for-byte.
 func (f *Fleet) ExportState() (*snapshot.State, error) {
-	if !f.sharded {
-		return nil, fmt.Errorf("fleet: ExportState requires a sharded fleet (NewSharded)")
-	}
 	if !f.began {
 		return nil, fmt.Errorf("fleet: ExportState before Begin")
 	}

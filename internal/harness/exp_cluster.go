@@ -3,8 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"bless/internal/cluster"
-	"bless/internal/sharing"
+	"bless/internal/fleet"
 	"bless/internal/sim"
 )
 
@@ -16,10 +15,55 @@ func init() {
 	})
 }
 
-// runCluster deploys six applications across a three-GPU pool through the
-// central controller and drives closed-loop load on every tenant, reporting
-// the chosen placement and each application's latency against its
-// isolated-quota baseline.
+// clusterSpecs are the cluster experiment's six tenants: (app, quota).
+var clusterSpecs = []struct {
+	app   string
+	quota float64
+}{
+	{"vgg11", 0.5}, {"resnet50", 0.5},
+	{"bert", 0.6}, {"resnet101", 0.4},
+	{"resnet50", 0.5}, {"vgg11", 0.5},
+}
+
+// runClusterFleet places the six tenants jointly across a three-GPU pool
+// through the central controller (fleet.AdmitBatch) and drives closed-loop
+// load at medium intensity on every tenant: think time is two thirds of the
+// app's full-GPU latency.
+func runClusterFleet(opt Options) (*fleet.Fleet, error) {
+	cfg := sim.DefaultConfig()
+	horizon := sim.Second
+	if opt.Quick {
+		horizon = 250 * sim.Millisecond
+	}
+	devices := make([]fleet.DeviceSpec, 3)
+	for i := range devices {
+		devices[i] = fleet.DeviceSpec{Config: cfg}
+	}
+	f, err := fleet.New(fleet.Config{Devices: devices, Profile: FleetProfile})
+	if err != nil {
+		return nil, err
+	}
+	tenants := make([]fleet.TenantSpec, len(clusterSpecs))
+	for i, s := range clusterSpecs {
+		prof, err := ProfileFor(s.app, cfg)
+		if err != nil {
+			return nil, err
+		}
+		tenants[i] = fleet.TenantSpec{
+			Name:  fmt.Sprintf("t%d", i),
+			App:   s.app,
+			Quota: s.quota,
+			Think: sim.Time(float64(prof.Iso[prof.Partitions-1]) * 2 / 3),
+		}
+	}
+	if err := f.AdmitBatch(tenants); err != nil {
+		return nil, err
+	}
+	return f, f.Run(horizon)
+}
+
+// runCluster reports the cluster run's placement and each application's
+// latency against its isolated-quota baseline.
 func runCluster(opt Options) (*Table, error) {
 	t := &Table{
 		ID:      "cluster",
@@ -29,81 +73,26 @@ func runCluster(opt Options) (*Table, error) {
 			"§4.2.2: BLESS extends to multiple GPUs by replicating its runtime per device; a central controller places applications by memory and kernel compatibility",
 		},
 	}
-	cfg := sim.DefaultConfig()
-	horizon := sim.Second
-	if opt.Quick {
-		horizon = 250 * sim.Millisecond
-	}
-	specs := []struct {
-		name  string
-		quota float64
-	}{
-		{"vgg11", 0.5}, {"resnet50", 0.5},
-		{"bert", 0.6}, {"resnet101", 0.4},
-		{"resnet50", 0.5}, {"vgg11", 0.5},
-	}
-	eng := sim.NewEngine()
-	clients := make([]*sharing.Client, len(specs))
-	for i, s := range specs {
-		prof, err := ProfileFor(s.name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		app, err := appFor(s.name)
-		if err != nil {
-			return nil, err
-		}
-		clients[i] = &sharing.Client{ID: i, App: app, Profile: prof, Quota: s.quota}
-	}
-	cl, err := cluster.Deploy(eng, clients, cluster.Config{GPUs: 3, GPU: cfg})
+	f, err := runClusterFleet(opt)
 	if err != nil {
 		return nil, err
 	}
-
-	// Closed-loop load at medium intensity per app.
-	lat := make([][]sim.Time, len(clients))
-	seqs := make([]int, len(clients))
-	cl.OnComplete(func(app int, r *sharing.Request) {
-		lat[app] = append(lat[app], r.Latency())
-		prof := clients[app].Profile
-		think := sim.Time(float64(prof.Iso[prof.Partitions-1]) * 2 / 3)
-		at := r.Done + think
-		if at > horizon {
-			return
+	for _, r := range f.Results() {
+		prof, err := ProfileFor(r.App, sim.DefaultConfig())
+		if err != nil {
+			return nil, err
 		}
-		appIdx := app
-		eng.Schedule(at, func() {
-			seqs[appIdx]++
-			cl.Submit(appIdx, seqs[appIdx])
-		})
-	})
-	for ai := range clients {
-		ai := ai
-		eng.Schedule(0, func() { cl.Submit(ai, 0) })
-	}
-	eng.RunUntil(horizon)
-	eng.Run()
-
-	for ai, c := range clients {
-		var total sim.Time
-		for _, l := range lat[ai] {
-			total += l
-		}
-		mean := sim.Time(0)
-		if len(lat[ai]) > 0 {
-			mean = total / sim.Time(len(lat[ai]))
-		}
-		iso := c.Profile.IsoAtQuota(c.Quota)
+		iso := prof.IsoAtQuota(r.Quota)
 		t.Rows = append(t.Rows, []string{
-			c.App.Name,
-			fmt.Sprintf("%.0f%%", c.Quota*100),
-			fmt.Sprintf("gpu%d", cl.Host(ai)),
-			ms(mean), ms(iso),
-			pct(float64(mean)/float64(iso) - 1),
+			r.App,
+			fmt.Sprintf("%.0f%%", r.Quota*100),
+			fmt.Sprintf("gpu%d", r.Device),
+			ms(r.MeanLat), ms(iso),
+			pct(float64(r.MeanLat)/float64(iso) - 1),
 		})
 	}
-	for gi, u := range cl.Utilization() {
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("gpu%d", gi), "", "", "", "", fmt.Sprintf("util %.0f%%", u*100)})
+	for _, d := range f.Snapshot().Devices {
+		t.Rows = append(t.Rows, []string{d.Name, "", "", "", "", fmt.Sprintf("util %.0f%%", d.Utilization*100)})
 	}
 	return t, nil
 }

@@ -142,10 +142,10 @@ type FleetResult struct {
 	Elapsed sim.Time
 }
 
-// fleetProfile adapts the harness's process-wide profile cache for the
+// FleetProfile adapts the harness's process-wide profile cache for the
 // fleet control plane: profiles are keyed per (app, device SM class), so
 // heterogeneous pools profile each class exactly once per process.
-func fleetProfile(app string, cfg sim.Config) (*model.App, *profiler.Profile, error) {
+func FleetProfile(app string, cfg sim.Config) (*model.App, *profiler.Profile, error) {
 	a, err := model.Get(app)
 	if err != nil {
 		return nil, nil, err
@@ -194,13 +194,13 @@ func buildFleet(sc FleetScenario) (*fleet.Fleet, *invariant.FleetChecker, sim.Ti
 	if sc.Faults != nil {
 		injectorFor = sc.Faults.injectorFor()
 	}
-	f, err := fleet.NewSharded(fleet.Config{
+	f, err := fleet.New(fleet.Config{
 		Seed:            sc.Seed,
 		Devices:         sc.Devices,
 		Runtime:         sc.Runtime,
 		InjectorFor:     injectorFor,
 		Policy:          sc.Policy,
-		Profile:         fleetProfile,
+		Profile:         FleetProfile,
 		Checker:         checker,
 		Rebalance:       sc.Rebalance,
 		Autoscale:       sc.Autoscale,

@@ -137,11 +137,6 @@ func ProfileFor(appName string, cfg sim.Config) (*profiler.Profile, error) {
 	return p, nil
 }
 
-// appFor returns a fresh copy of a catalog application.
-func appFor(name string) (*model.App, error) {
-	return model.Get(name)
-}
-
 // Run executes one experiment and returns its result. Deterministic for a
 // given configuration.
 func Run(cfg RunConfig) (*Result, error) {
