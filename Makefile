@@ -30,9 +30,10 @@ test-sim-nondeterminism:
 		./internal/harness/
 
 ## test-sim-import-export: the export-side snapshot gate — the wire format
-## (round trip, golden header/digest, forward-incompatibility and corruption
-## rejection) plus the export matrix: snapshots cut at every barrier point
-## must be bit-identical across exporting shard counts.
+## (round trip, golden header/digest, version, corruption and trailing-byte
+## rejection, the FuzzDecode seed corpus) plus the export matrix: snapshots
+## cut at every barrier point must carry bit-identical state across
+## exporting shard counts.
 test-sim-import-export:
 	$(GO) test -race -count=1 ./internal/snapshot/
 	$(GO) test -race -count=1 \

@@ -397,7 +397,7 @@ func PlaceApps(apps []ClientConfig, gpuCount int) (PlacementResult, error) {
 	for i := range gpus {
 		gpus[i] = core.PlacementGPU{ID: fmt.Sprintf("gpu%d", i), Config: cfg}
 	}
-	pl, err := core.Place(pas, gpus, core.PlacementOptions{})
+	pl, err := core.Place(pas, gpus)
 	if err != nil {
 		return nil, err
 	}

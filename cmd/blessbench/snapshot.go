@@ -78,13 +78,17 @@ func runSnapshotImport(path string, shards int) error {
 	}
 	wall := time.Since(start)
 	snap := v.Snapshot
+	sc, err := harness.SnapshotScenario(snap)
+	if err != nil {
+		return fmt.Errorf("snapshot import %s: %w", path, err)
+	}
 	replayShards := shards
 	if replayShards <= 0 {
-		replayShards = snap.Shards
+		replayShards = sc.Shards
 	}
 	st := v.Imported.Stats
 	fmt.Printf("snapshot import: %s (%d bytes) — barrier %v, exported at %d shard(s), replayed at %d, wall %v\n",
-		path, len(data), snap.BarrierAt, snap.Shards, replayShards, wall.Round(time.Millisecond))
+		path, len(data), snap.BarrierAt, sc.Shards, replayShards, wall.Round(time.Millisecond))
 	fmt.Printf("  replay proof: state at %v byte-identical (digest %016x)\n",
 		snap.BarrierAt, snapshot.StateDigest(&snap.State))
 	fmt.Printf("  routed %d  completed %d  failed %d  | migrations %d  rebalances %d  crashes %d\n",

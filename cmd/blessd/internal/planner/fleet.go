@@ -272,7 +272,7 @@ func fleetScenarioOf(req FleetPlanRequest, repro string) (harness.FleetScenario,
 		if name == "" {
 			name = fmt.Sprintf("t%d", i)
 		}
-		sc.Tenants = append(sc.Tenants, harness.FleetTenant{
+		sc.Tenants = append(sc.Tenants, fleet.TenantSpec{
 			Name: name, App: t.App, Quota: t.Quota,
 			SLOTarget: ms(t.SLOTargetMS),
 			Think:     ms(t.ThinkMS),

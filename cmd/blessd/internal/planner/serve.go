@@ -175,7 +175,7 @@ func (p *Planner) ServeOpen(req ServeOpenRequest, reply *ServeOpenReply) error {
 	for i := range pool {
 		pool[i] = core.PlacementGPU{ID: fmt.Sprintf("gpu%d", i), Config: cfg}
 	}
-	placement, err := core.Place(apps, pool, core.PlacementOptions{})
+	placement, err := core.Place(apps, pool)
 	if err != nil {
 		p.reg.Counter("serve/open_rejected_total").Inc()
 		return fmt.Errorf("serve: placement admission failed: %w", err)

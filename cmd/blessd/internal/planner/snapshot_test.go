@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bless/internal/harness"
 	"bless/internal/snapshot"
 )
 
@@ -36,8 +37,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode RPC snapshot: %v", err)
 	}
-	if snap.Scenario.Repro != "Planner.Snapshot" {
-		t.Fatalf("snapshot repro = %q", snap.Scenario.Repro)
+	sc, err := harness.SnapshotScenario(snap)
+	if err != nil {
+		t.Fatalf("decode RPC snapshot scenario: %v", err)
+	}
+	if sc.Repro != "Planner.Snapshot" {
+		t.Fatalf("snapshot repro = %q", sc.Repro)
 	}
 
 	var restored RestoreReply

@@ -26,15 +26,16 @@ type ExecConfig struct {
 	Considered int
 }
 
+// maxEnumerate bounds exhaustive composition enumeration by entry count;
+// squads with more entries use quota-seeded hill climbing (3 entries over 18
+// partitions: C(17,2)=136 configurations).
+const maxEnumerate = 3
+
 // DetermineOptions tunes the configuration search.
 type DetermineOptions struct {
 	// Partitions is N, the SM partition count (default 18 to match the
 	// profiles).
 	Partitions int
-	// MaxEnumerate bounds exhaustive composition enumeration by entry
-	// count; squads with more entries use quota-seeded hill climbing
-	// (default 3: C(17,2)=136 configurations).
-	MaxEnumerate int
 	// ForceSpatialQuota disables the search (the Fig 20 ablation "w/o
 	// configuration determiner"): the squad always runs strictly spatially
 	// partitioned proportional to client quotas.
@@ -61,10 +62,6 @@ func Determine(s *Squad, deviceSMs int, quotas []float64, opts DetermineOptions)
 	n := opts.Partitions
 	if n <= 0 {
 		n = 18
-	}
-	maxEnum := opts.MaxEnumerate
-	if maxEnum <= 0 {
-		maxEnum = 3
 	}
 	k := len(s.Entries)
 
@@ -154,7 +151,7 @@ func Determine(s *Squad, deviceSMs int, quotas []float64, opts DetermineOptions)
 		return est
 	}
 
-	if k <= maxEnum && k <= n {
+	if k <= maxEnumerate && k <= n {
 		enumerateCompositions(n, k, evaluate)
 	} else if k <= n {
 		hillClimb(n, k, quotas, evaluate)

@@ -34,38 +34,28 @@ type PlacementGPU struct {
 // Placement maps application index -> GPU index.
 type Placement map[int]int
 
-// PlacementOptions tunes the controller.
-type PlacementOptions struct {
-	// Admission bounds per-GPU co-location compatibility (§4.2.2); the
-	// zero value selects profiler.DefaultAdmissionLimits.
-	Admission profiler.AdmissionLimits
-}
-
 // Place assigns each application to a GPU such that (a) per-GPU quotas sum to
 // at most 1, (b) combined memory footprints (plus per-client MPS contexts)
 // fit the device, and (c) the §4.2.2 kernel-duration compatibility checks
-// hold on every GPU. Applications are placed largest-memory-first onto the
-// GPU with the most remaining memory (best-fit-decreasing); the search
-// backtracks across eligible GPUs before failing.
-func Place(apps []PlacementApp, gpus []PlacementGPU, opts PlacementOptions) (Placement, error) {
+// under profiler.DefaultAdmissionLimits hold on every GPU. Applications are
+// placed largest-memory-first onto the GPU with the most remaining memory
+// (best-fit-decreasing); the search backtracks across eligible GPUs before
+// failing.
+func Place(apps []PlacementApp, gpus []PlacementGPU) (Placement, error) {
 	if len(apps) == 0 {
 		return nil, fmt.Errorf("core: no applications to place")
 	}
 	if len(gpus) == 0 {
 		return nil, fmt.Errorf("core: no GPUs available")
 	}
-	lim := opts.Admission
-	if lim.MaxKernelDuration == 0 {
-		lim = profiler.DefaultAdmissionLimits()
-	}
-	for i, a := range apps {
+	lim := profiler.DefaultAdmissionLimits()
+	for _, a := range apps {
 		if a.Profile == nil {
 			return nil, fmt.Errorf("core: application %q has no profile", a.Name)
 		}
 		if a.Quota <= 0 || a.Quota > 1 {
 			return nil, fmt.Errorf("core: application %q quota %g outside (0,1]", a.Name, a.Quota)
 		}
-		_ = i
 	}
 
 	// Aggregate capacity fast-fail: when the pool as a whole cannot hold

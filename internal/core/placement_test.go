@@ -47,7 +47,7 @@ func TestPlaceSpreadsByQuota(t *testing.T) {
 		app("vgg11", 0.6), app("resnet50", 0.6),
 		app("bert", 0.4), app("resnet101", 0.4),
 	)
-	pl, err := Place(apps, twoGPUs(), PlacementOptions{})
+	pl, err := Place(apps, twoGPUs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestPlaceRespectsMemory(t *testing.T) {
 		{ID: "b", Config: small},
 		{ID: "c", Config: small},
 	}
-	pl, err := Place(apps, gpus, PlacementOptions{})
+	pl, err := Place(apps, gpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPlaceRespectsMemory(t *testing.T) {
 func TestPlaceFailsWhenImpossible(t *testing.T) {
 	apps := placementApps(t, app("vgg11", 0.8), app("resnet50", 0.8))
 	one := []PlacementGPU{{ID: "only", Config: sim.DefaultConfig()}}
-	if _, err := Place(apps, one, PlacementOptions{}); err == nil {
+	if _, err := Place(apps, one); err == nil {
 		t.Error("1.6 total quota on one GPU accepted")
 	}
 }
@@ -106,7 +106,7 @@ func TestPlaceBacktracks(t *testing.T) {
 	// Three 0.5-quota apps on two GPUs: naive best-fit might pair wrongly;
 	// any valid assignment puts two on one device and one on the other.
 	apps := placementApps(t, app("vgg11", 0.5), app("resnet50", 0.5), app("bert", 0.5))
-	pl, err := Place(apps, twoGPUs(), PlacementOptions{})
+	pl, err := Place(apps, twoGPUs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestPlaceRejectsStarvationPairs(t *testing.T) {
 	}
 	// One GPU: the starvation-prone pair must be rejected.
 	one := []PlacementGPU{{ID: "only", Config: sim.DefaultConfig()}}
-	if _, err := Place(apps, one, PlacementOptions{}); err == nil {
+	if _, err := Place(apps, one); err == nil {
 		t.Error("starvation-prone co-location accepted on a single GPU")
 	}
 	// Two GPUs: the controller must separate them.
-	pl, err := Place(apps, twoGPUs(), PlacementOptions{})
+	pl, err := Place(apps, twoGPUs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,20 +152,20 @@ func TestPlaceRejectsStarvationPairs(t *testing.T) {
 }
 
 func TestPlaceValidation(t *testing.T) {
-	if _, err := Place(nil, twoGPUs(), PlacementOptions{}); err == nil {
+	if _, err := Place(nil, twoGPUs()); err == nil {
 		t.Error("empty app list accepted")
 	}
 	apps := placementApps(t, app("vgg11", 0.5))
-	if _, err := Place(apps, nil, PlacementOptions{}); err == nil {
+	if _, err := Place(apps, nil); err == nil {
 		t.Error("empty GPU list accepted")
 	}
 	apps[0].Quota = 0
-	if _, err := Place(apps, twoGPUs(), PlacementOptions{}); err == nil {
+	if _, err := Place(apps, twoGPUs()); err == nil {
 		t.Error("zero quota accepted")
 	}
 	apps[0].Quota = 0.5
 	apps[0].Profile = nil
-	if _, err := Place(apps, twoGPUs(), PlacementOptions{}); err == nil {
+	if _, err := Place(apps, twoGPUs()); err == nil {
 		t.Error("profile-less app accepted")
 	}
 }
@@ -181,7 +181,7 @@ func TestPlaceErrorNamesApp(t *testing.T) {
 	}
 	// Shrink quota headroom so any two of them over-subscribe one device.
 	apps[0].Quota, apps[1].Quota, apps[2].Quota = 0.7, 0.7, 0.6
-	_, err := Place(apps, two, PlacementOptions{})
+	_, err := Place(apps, two)
 	if err == nil || !strings.Contains(err.Error(), "placing") {
 		t.Errorf("error %v does not identify the failing application", err)
 	}
@@ -196,7 +196,7 @@ func TestPlaceRejectsAggregateOvercommit(t *testing.T) {
 	apps := placementApps(t,
 		app("vgg11", 0.8), app("resnet50", 0.8), app("bert", 0.8),
 	)
-	_, err := Place(apps, twoGPUs(), PlacementOptions{})
+	_, err := Place(apps, twoGPUs())
 	if err == nil {
 		t.Fatal("aggregate quota over-commit accepted")
 	}
@@ -212,7 +212,7 @@ func TestPlaceRejectsAggregateOvercommit(t *testing.T) {
 	tiny := sim.DefaultConfig()
 	tiny.MemoryBytes = 4 << 30
 	gpus := []PlacementGPU{{ID: "a", Config: tiny}, {ID: "b", Config: tiny}}
-	_, err = Place(apps, gpus, PlacementOptions{})
+	_, err = Place(apps, gpus)
 	if err == nil {
 		t.Fatal("aggregate memory over-commit accepted")
 	}
@@ -223,7 +223,7 @@ func TestPlaceRejectsAggregateOvercommit(t *testing.T) {
 	// The pre-check must stay conservative: a feasible spread (0.6+0.6+0.4
 	// over two GPUs) still places.
 	apps = placementApps(t, app("vgg11", 0.6), app("resnet50", 0.6), app("bert", 0.4))
-	if _, err := Place(apps, twoGPUs(), PlacementOptions{}); err != nil {
+	if _, err := Place(apps, twoGPUs()); err != nil {
 		t.Errorf("feasible deployment rejected by the aggregate pre-check: %v", err)
 	}
 }

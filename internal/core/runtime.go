@@ -47,15 +47,17 @@ type Options struct {
 	NoFlush bool
 	// TraceSquad, if set, observes every scheduled squad with its chosen
 	// execution configuration — the hook behind the fine-grained timeline
-	// analysis (Fig 18) and debugging.
-	TraceSquad func(at sim.Time, squad *Squad, cfg ExecConfig)
+	// analysis (Fig 18) and debugging. Not serialized: functions cannot
+	// cross a process boundary.
+	TraceSquad func(at sim.Time, squad *Squad, cfg ExecConfig) `json:"-"`
 
 	// Injector, when non-nil, supplies fault decisions (see FaultInjector):
 	// kernel executions may fault and be retried with capped exponential
 	// backoff, restricted-context establishment may fail, and launches may
 	// be deferred past transient device stalls. *chaos.Injector satisfies
 	// it; nil keeps the hot path byte-identical to the fault-free build.
-	Injector FaultInjector
+	// Not serialized (see TraceSquad).
+	Injector FaultInjector `json:"-"`
 	// RetryBackoff is the base delay before relaunching a faulted kernel
 	// (default 20us), doubling per consecutive attempt up to
 	// RetryBackoffCap (default 1ms).

@@ -90,8 +90,6 @@ func (c *determineCache) appendKey(buf []byte, s *Squad, deviceSMs int, quotas [
 	buf = append(buf, '|')
 	buf = strconv.AppendInt(buf, int64(opts.Partitions), 10)
 	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(opts.MaxEnumerate), 10)
-	buf = append(buf, '|')
 	if opts.ForceSpatialQuota {
 		buf = append(buf, 'F')
 	}

@@ -457,7 +457,7 @@ func (f *Fleet) AdmitBatch(specs []TenantSpec) error {
 	for i, d := range live {
 		gpus[i] = core.PlacementGPU{ID: d.spec.Name, Config: d.cfg}
 	}
-	placement, err := core.Place(apps, gpus, core.PlacementOptions{})
+	placement, err := core.Place(apps, gpus)
 	if err != nil {
 		f.stats.AdmitRejected += len(specs)
 		return fmt.Errorf("fleet: batch admission: %w", err)

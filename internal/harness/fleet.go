@@ -20,22 +20,6 @@ import (
 // attached and the timing-free completion digest computed for cross-mode
 // comparison (serial vs parallel workers, permuted migration order).
 
-// FleetTenant describes one tenant and its closed-loop workload.
-type FleetTenant struct {
-	// Name uniquely identifies the tenant; App is the catalog application.
-	Name string
-	App  string
-	// Quota is the provisioned GPU fraction on whichever device hosts it.
-	Quota float64
-	// SLOTarget, when non-zero, drives pacing and the SLO routing policy.
-	SLOTarget sim.Time
-	// Think is the closed-loop think time between a completion and the next
-	// submission.
-	Think sim.Time
-	// Requests bounds the tenant's submissions (0 = until the horizon).
-	Requests int
-}
-
 // FleetMigration schedules one explicit migration trigger.
 type FleetMigration struct {
 	At     sim.Time
@@ -50,7 +34,7 @@ type FleetScenario struct {
 	// Devices is the initial heterogeneous pool.
 	Devices []fleet.DeviceSpec
 	// Tenants are admitted in order at t=0.
-	Tenants []FleetTenant
+	Tenants []fleet.TenantSpec
 	// Horizon bounds new work; the run then drains.
 	Horizon sim.Time
 	// Policy selects the routing policy (default least-loaded).
@@ -70,8 +54,8 @@ type FleetScenario struct {
 	Shards int
 	// ShardOf optionally overrides the device→shard mapping — execution
 	// strategy only, so permuting it cannot move a digest (the metamorphic
-	// suite asserts exactly that).
-	ShardOf func(device int) int
+	// suite asserts exactly that). Snapshots drop it.
+	ShardOf func(device int) int `json:"-"`
 	// ExchangeLatency overrides the cross-device handoff latency ε (0 =
 	// fleet.DefaultExchangeLatency).
 	ExchangeLatency sim.Time
@@ -213,10 +197,7 @@ func buildFleet(sc FleetScenario) (*fleet.Fleet, *invariant.FleetChecker, sim.Ti
 	}
 
 	for _, t := range sc.Tenants {
-		if err := f.Admit(fleet.TenantSpec{
-			Name: t.Name, App: t.App, Quota: t.Quota, SLOTarget: t.SLOTarget,
-			Think: t.Think, Requests: t.Requests,
-		}); err != nil {
+		if err := f.Admit(t); err != nil {
 			return nil, nil, 0, err
 		}
 	}

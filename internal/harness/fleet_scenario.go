@@ -34,9 +34,9 @@ func FleetScenarioN(seed int64, nTenants, nDevices int, horizon sim.Time) FleetS
 	apps := []string{"vgg11", "resnet50", "resnet101", "bert"}
 	quotas := []float64{0.13, 0.16, 0.10, 0.18}
 	slos := []sim.Time{0, 120 * sim.Millisecond, 200 * sim.Millisecond, 150 * sim.Millisecond}
-	tenants := make([]FleetTenant, nTenants)
+	tenants := make([]fleet.TenantSpec, nTenants)
 	for i := range tenants {
-		tenants[i] = FleetTenant{
+		tenants[i] = fleet.TenantSpec{
 			Name:      fmt.Sprintf("t%03d", i),
 			App:       apps[i%len(apps)],
 			Quota:     quotas[(i/len(apps))%len(quotas)],

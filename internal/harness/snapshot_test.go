@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bless/internal/chaos"
@@ -281,6 +283,27 @@ func TestVerifyImport(t *testing.T) {
 	bad[len(bad)/3] ^= 0x10
 	if _, err := VerifyImport(bad, 2); err == nil {
 		t.Fatal("corrupted snapshot verified without error")
+	}
+}
+
+// TestImportNamesDivergence tampers with one tenant's progress in a real
+// snapshot and re-seals it: the import proof must refuse the restore and
+// name that tenant, not just two differing state digests.
+func TestImportNamesDivergence(t *testing.T) {
+	data := mustExport(t, smokeFleetScenario(7), 10*sim.Millisecond)
+	snap, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := &snap.State.Tenants[len(snap.State.Tenants)/2]
+	victim.NextSeq++
+	tampered, err := snapshot.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ImportFleet(tampered, 2)
+	if want := fmt.Sprintf("Tenants[%q]", victim.Name); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("tampered import error %v, want it to name %s", err, want)
 	}
 }
 

@@ -1,13 +1,15 @@
-// Package snapshot defines the versioned, canonical wire format for fleet
+// Package snapshot defines the versioned, sealed wire format for fleet
 // runtime snapshots — the export/import primitive behind migration, upgrade
 // and crash-recovery testing (the wasmd test-sim-import-export discipline).
 //
-// A snapshot is cut at a virtual-time barrier of a sharded fleet run and
-// captures two things:
+// A snapshot is cut at a virtual-time barrier of a fleet run and captures
+// two things:
 //
 //   - the generating Scenario: everything needed to rebuild the fleet from
 //     nothing in a fresh process (pool, tenants, control schedule, policy,
-//     runtime options) — snapshots are self-contained; and
+//     runtime options, seed, shard count, horizon) — snapshots are
+//     self-contained. It is opaque JSON here: the harness encodes it from
+//     its own FleetScenario type and owns that shape; and
 //   - the State: the complete observable logical state at the barrier —
 //     per-device control-plane and BLESS-runtime state (clients, quotas,
 //     backlogs, fault/retry counters), per-tenant progress (sequence
@@ -18,24 +20,30 @@
 // Pending engine events are closures and cannot be serialized; importing a
 // snapshot therefore reconstructs them by deterministic replay of the
 // Scenario to the same barrier, then proves the reconstruction by comparing
-// the replayed state's canonical encoding byte-for-byte against the State
-// section. Any serialization drift or cross-process nondeterminism fails the
-// import before the run continues.
+// the replayed state's canonical encoding against the State section (see
+// Divergence). Any serialization drift or cross-process nondeterminism fails
+// the import before the run continues.
 //
-// Encoding is canonical by construction: fixed field order, little-endian
-// fixed-width integers, float bits via math.Float64bits, length-prefixed
-// strings and slices, and no maps — the same logical state always encodes to
-// the same bytes, which is what makes the byte-compare proof and the golden
-// tests possible. The trailing FNV-1a digest authenticates the payload
-// against truncation and corruption; the leading version gates forward
-// incompatibility (a snapshot written by a newer format version is rejected,
-// never misparsed).
+// The frame is
+//
+//	"BLESSNAP" | version u32 LE | JSON payload | fnv1a-64(all preceding) u64 LE
+//
+// The payload is encoding/json of Snapshot, which is canonical for these
+// types: fields go out in declaration order, there are no maps, and floats
+// print in their shortest exact round-trip form — so the same logical state
+// always encodes to the same bytes, which is what makes the replay proof and
+// the golden test possible. The seal authenticates the payload against
+// truncation and corruption; the version gates incompatibility (a snapshot
+// from a newer build, or from the retired version-1 binary format, is
+// rejected, never misparsed).
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
-	"math"
-	"sync/atomic"
+	"reflect"
 
 	"bless/internal/sim"
 )
@@ -43,132 +51,20 @@ import (
 // Magic identifies a BLESS snapshot stream.
 const Magic = "BLESSNAP"
 
-// Version is the current wire-format version. Decode rejects snapshots
-// carrying a newer version; older versions are migrated here as the format
-// evolves (none exist yet).
-const Version = 1
+// Version is the current wire-format version: 2, a JSON payload. Decode
+// rejects newer versions and the retired version-1 binary payload.
+const Version = 2
 
-// Snapshot is one exported fleet runtime state: header, generating scenario,
-// and the canonical state at the barrier.
+// Snapshot is one exported fleet runtime state: the barrier, the generating
+// scenario, and the canonical state at the barrier.
 type Snapshot struct {
-	// Seed keys the scenario's deterministic control-plane decisions.
-	Seed int64
-	// Shards is the engine-shard count the exporting run used. Advisory:
-	// the shard mapping is execution strategy, so an import may replay at
-	// any count and still reproduce State byte-for-byte.
-	Shards int
 	// BarrierAt is the virtual-time barrier the snapshot was cut at.
 	BarrierAt sim.Time
-	// Horizon is the scenario horizon (new work stops there; the run then
-	// drains).
-	Horizon sim.Time
-	// Scenario regenerates the run from t=0 in a fresh process.
-	Scenario Scenario
+	// Scenario regenerates the run from t=0 in a fresh process. The harness
+	// encodes and decodes it (seed, shard count and horizon included).
+	Scenario json.RawMessage
 	// State is the canonical logical state at BarrierAt.
 	State State
-}
-
-// Scenario is the declarative fleet scenario embedded in every snapshot —
-// a process-independent mirror of harness.FleetScenario (the harness owns
-// the conversion; this package stays dependency-light).
-type Scenario struct {
-	Seed            int64
-	Policy          string
-	Horizon         sim.Time
-	ExchangeLatency sim.Time
-	Repro           string
-	Invariants      bool
-	Devices         []DeviceSpec
-	Tenants         []TenantSpec
-	Migrations      []Migration
-	Crashes         []Crash
-	Rebalance       *Rebalance
-	Autoscale       *Autoscale
-	Faults          *FaultPlan
-	Runtime         RuntimeOptions
-}
-
-// FaultPlan mirrors harness.FleetFaultPlan — the declarative, seeded fleet
-// fault spec; per-device injectors are recompiled from it on replay.
-type FaultPlan struct {
-	Seed               int64
-	KernelFaultRate    float64
-	MaxFaultsPerKernel int
-	CtxFaultRate       float64
-}
-
-// DeviceSpec is one pool device: its name and full simulation config.
-type DeviceSpec struct {
-	Name             string
-	SMs              int
-	MemoryBytes      int64
-	PCIeBytesPerNS   float64
-	KernelLaunch     sim.Time
-	ContextSwitch    sim.Time
-	SquadSync        sim.Time
-	ContextMemBytes  int64
-	SlowdownCap      float64
-	BWSatOccupancy   float64
-	InterferenceBeta float64
-}
-
-// TenantSpec is one tenant and its closed-loop workload.
-type TenantSpec struct {
-	Name      string
-	App       string
-	Quota     float64
-	SLOTarget sim.Time
-	Think     sim.Time
-	Requests  int
-}
-
-// Migration is one scheduled live-migration trigger.
-type Migration struct {
-	At     sim.Time
-	Tenant string
-	Target int
-}
-
-// Crash is one scheduled device crash.
-type Crash struct {
-	At     sim.Time
-	Device int
-}
-
-// Rebalance mirrors fleet.RebalanceConfig.
-type Rebalance struct {
-	Interval     sim.Time
-	Threshold    float64
-	SustainTicks int
-	MaxMoves     int
-}
-
-// Autoscale mirrors fleet.AutoscaleConfig.
-type Autoscale struct {
-	Template      DeviceSpec
-	Min, Max      int
-	HighWatermark float64
-	LowWatermark  float64
-}
-
-// RuntimeOptions is the serializable subset of core.Options. Function-valued
-// and interface-valued fields (TraceSquad, Injector) cannot cross a process
-// boundary; export refuses scenarios that set them.
-type RuntimeOptions struct {
-	MaxSquadKernels      int
-	SplitRatio           float64
-	Partitions           int
-	SchedPerKernel       sim.Time
-	DisableFairSelection bool
-	DisableDeterminer    bool
-	DisableSemiSP        bool
-	QuotaGuard           bool
-	NoAdaptiveSizing     bool
-	NoFlush              bool
-	RetryBackoff         sim.Time
-	RetryBackoffCap      sim.Time
-	MaxRetries           int
-	RequestDeadline      sim.Time
 }
 
 // State is the complete observable logical fleet state at a barrier. Every
@@ -382,738 +278,111 @@ func fnv1a(data []byte) uint64 {
 	return h
 }
 
-// writer builds the canonical byte stream.
-type writer struct{ buf []byte }
+// headerLen is the magic plus the version word; sealLen is the trailing
+// FNV-1a digest.
+const (
+	headerLen = len(Magic) + 4
+	sealLen   = 8
+)
 
-func (w *writer) u32(v uint32) {
-	w.buf = append(w.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func (w *writer) u64(v uint64) {
-	w.buf = append(w.buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func (w *writer) i64(v int64)     { w.u64(uint64(v)) }
-func (w *writer) vint(v int)      { w.i64(int64(v)) }
-func (w *writer) time(t sim.Time) { w.i64(int64(t)) }
-func (w *writer) f64(v float64)   { w.u64(math.Float64bits(v)) }
-
-func (w *writer) bool(v bool) {
-	if v {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
+// Encode serializes the snapshot to its canonical, sealed byte form. It
+// fails only on a value JSON cannot carry (a NaN or infinite float, or a
+// Scenario that is not valid JSON).
+func Encode(s *Snapshot) ([]byte, error) {
+	payload, err := json.Marshal(s)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: encode: %w", err)
 	}
+	buf := make([]byte, 0, headerLen+len(payload)+sealLen)
+	buf = append(buf, Magic...)
+	buf = binary.LittleEndian.AppendUint32(buf, Version)
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint64(buf, fnv1a(buf)), nil
 }
 
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *writer) times(ts []sim.Time) {
-	w.u32(uint32(len(ts)))
-	for _, t := range ts {
-		w.time(t)
-	}
-}
-
-func (w *writer) ints(vs []int) {
-	w.u32(uint32(len(vs)))
-	for _, v := range vs {
-		w.vint(v)
-	}
-}
-
-// reader consumes the canonical byte stream with a sticky error.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("snapshot: "+format, args...)
-	}
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.buf) {
-		r.fail("truncated at offset %d (need %d bytes, have %d)", r.off, n, len(r.buf)-r.off)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
+// StateDigest is the FNV-1a digest of the state's canonical encoding (0 for
+// a state that does not encode, which only a NaN or infinite float causes).
+func StateDigest(st *State) uint64 {
+	data, err := json.Marshal(st)
+	if err != nil {
 		return 0
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return fnv1a(data)
 }
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func (r *reader) i64() int64     { return int64(r.u64()) }
-func (r *reader) vint() int      { return int(r.i64()) }
-func (r *reader) time() sim.Time { return sim.Time(r.i64()) }
-func (r *reader) f64() float64   { return math.Float64frombits(r.u64()) }
-
-func (r *reader) bool() bool {
-	b := r.take(1)
-	if b == nil {
-		return false
-	}
-	switch b[0] {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail("invalid bool byte %#x at offset %d", b[0], r.off-1)
-		return false
-	}
-}
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// count validates a slice length against the remaining bytes (each element
-// is at least min bytes) so a corrupted length cannot force a huge alloc.
-func (r *reader) count(min int) int {
-	n := int(r.u32())
-	if r.err == nil && min > 0 && n > (len(r.buf)-r.off)/min {
-		r.fail("slice length %d at offset %d exceeds remaining payload", n, r.off-4)
-		return 0
-	}
-	return n
-}
-
-func (r *reader) times() []sim.Time {
-	n := r.count(8)
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	ts := make([]sim.Time, n)
-	for i := range ts {
-		ts[i] = r.time()
-	}
-	return ts
-}
-
-func (r *reader) ints() []int {
-	n := r.count(8)
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = r.vint()
-	}
-	return vs
-}
-
-// sizeHint tracks the largest encoding produced so far (process-wide), so
-// repeated exports pre-size their buffer once instead of paying the
-// geometric-regrowth copies on every multi-megabyte snapshot.
-var sizeHint atomic.Int64
-
-func encodeBuf() []byte {
-	n := int(sizeHint.Load())
-	if n < 4096 {
-		n = 4096
-	}
-	return make([]byte, 0, n)
-}
-
-func noteSize(n int) {
-	for {
-		cur := sizeHint.Load()
-		if int64(n) <= cur || sizeHint.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
-}
-
-// Encode serializes the snapshot to its canonical byte form:
-//
-//	magic[8] | version u32 | scenario | state | fnv1a(all preceding) u64
-func Encode(s *Snapshot) []byte { return AppendEncode(encodeBuf(), s) }
-
-// AppendEncode appends the snapshot's canonical byte form to buf and returns
-// the extended slice, reusing buf's capacity — callers on a steady-state
-// export path can hold one buffer across exports and encode without
-// allocating.
-func AppendEncode(buf []byte, s *Snapshot) []byte {
-	w := &writer{buf: buf}
-	start := len(buf)
-	w.buf = append(w.buf, Magic...)
-	w.u32(Version)
-	w.i64(s.Seed)
-	w.vint(s.Shards)
-	w.time(s.BarrierAt)
-	w.time(s.Horizon)
-	encodeScenario(w, &s.Scenario)
-	encodeState(w, &s.State)
-	w.u64(fnv1a(w.buf[start:]))
-	noteSize(len(w.buf) - start)
-	return w.buf
-}
-
-// EncodeState serializes just the state section — the canonical bytes the
-// import proof compares and the state digest is computed over.
-func EncodeState(st *State) []byte { return AppendEncodeState(encodeBuf(), st) }
-
-// AppendEncodeState appends the state section's canonical bytes to buf,
-// reusing its capacity (see AppendEncode).
-func AppendEncodeState(buf []byte, st *State) []byte {
-	w := &writer{buf: buf}
-	start := len(buf)
-	encodeState(w, st)
-	noteSize(len(w.buf) - start)
-	return w.buf
-}
-
-// StateDigest is the FNV-1a digest of the state's canonical encoding.
-func StateDigest(st *State) uint64 { return fnv1a(EncodeState(st)) }
 
 // Decode parses and authenticates a snapshot stream. It rejects a bad magic,
-// a version newer than this build supports, a payload digest mismatch
-// (truncation/corruption), and trailing garbage.
+// a seal mismatch (truncation/corruption), any version but this one, unknown
+// fields, and anything after the JSON value.
 func Decode(data []byte) (*Snapshot, error) {
-	if len(data) < len(Magic)+4+8 {
+	if len(data) < headerLen+sealLen {
 		return nil, fmt.Errorf("snapshot: %d bytes is too short to be a snapshot", len(data))
 	}
 	if string(data[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("snapshot: bad magic %q (want %q)", data[:len(Magic)], Magic)
 	}
-	body, tail := data[:len(data)-8], data[len(data)-8:]
-	r := &reader{buf: tail}
-	if got, want := r.u64(), fnv1a(body); got != want {
+	body := data[:len(data)-sealLen]
+	if got, want := binary.LittleEndian.Uint64(data[len(body):]), fnv1a(body); got != want {
 		return nil, fmt.Errorf("snapshot: payload digest mismatch (%016x != %016x) — truncated or corrupted", got, want)
 	}
-	r = &reader{buf: body, off: len(Magic)}
-	version := r.u32()
-	if version > Version {
-		return nil, fmt.Errorf("snapshot: format version %d is newer than this build supports (%d) — refusing to misparse", version, Version)
+	switch v := binary.LittleEndian.Uint32(data[len(Magic):]); {
+	case v > Version:
+		return nil, fmt.Errorf("snapshot: format version %d is newer than this build supports (%d) — refusing to misparse", v, Version)
+	case v < Version:
+		return nil, fmt.Errorf("snapshot: format version %d is no longer supported (this build reads only version %d) — re-export the snapshot", v, Version)
 	}
-	if version == 0 {
-		return nil, fmt.Errorf("snapshot: invalid format version 0")
-	}
+	payload := body[headerLen:]
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
 	s := &Snapshot{}
-	s.Seed = r.i64()
-	s.Shards = r.vint()
-	s.BarrierAt = r.time()
-	s.Horizon = r.time()
-	decodeScenario(r, &s.Scenario)
-	decodeState(r, &s.State)
-	if r.err != nil {
-		return nil, r.err
+	if err := dec.Decode(s); err != nil {
+		return nil, fmt.Errorf("snapshot: payload: %w", err)
 	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after the state section", len(body)-r.off)
+	if n := dec.InputOffset(); n != int64(len(payload)) {
+		return nil, fmt.Errorf("snapshot: %d trailing bytes after the JSON payload", int64(len(payload))-n)
 	}
 	return s, nil
 }
 
-func encodeDeviceSpec(w *writer, d *DeviceSpec) {
-	w.str(d.Name)
-	w.vint(d.SMs)
-	w.i64(d.MemoryBytes)
-	w.f64(d.PCIeBytesPerNS)
-	w.time(d.KernelLaunch)
-	w.time(d.ContextSwitch)
-	w.time(d.SquadSync)
-	w.i64(d.ContextMemBytes)
-	w.f64(d.SlowdownCap)
-	w.f64(d.BWSatOccupancy)
-	w.f64(d.InterferenceBeta)
+// Divergence names the first part of got whose canonical encoding differs
+// from want's: a top-level State field, narrowed to the device id or tenant
+// name inside Devices and Tenants. It returns "" when the two states encode
+// identically — the import proof's byte comparison, made to point at where
+// a replay went wrong.
+func Divergence(got, want *State) string {
+	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < g.NumField(); i++ {
+		if sameJSON(g.Field(i).Interface(), w.Field(i).Interface()) {
+			continue
+		}
+		switch field := g.Type().Field(i).Name; field {
+		case "Devices":
+			return field + firstDiff(got.Devices, want.Devices, func(d DeviceState) string {
+				return fmt.Sprintf("id %d", d.ID)
+			})
+		case "Tenants":
+			return field + firstDiff(got.Tenants, want.Tenants, func(t TenantState) string {
+				return fmt.Sprintf("%q", t.Name)
+			})
+		default:
+			return field
+		}
+	}
+	return ""
 }
 
-func decodeDeviceSpec(r *reader, d *DeviceSpec) {
-	d.Name = r.str()
-	d.SMs = r.vint()
-	d.MemoryBytes = r.i64()
-	d.PCIeBytesPerNS = r.f64()
-	d.KernelLaunch = r.time()
-	d.ContextSwitch = r.time()
-	d.SquadSync = r.time()
-	d.ContextMemBytes = r.i64()
-	d.SlowdownCap = r.f64()
-	d.BWSatOccupancy = r.f64()
-	d.InterferenceBeta = r.f64()
+// firstDiff locates the first differing element, named by want's entry, or
+// reports the length mismatch when one list is a prefix of the other.
+func firstDiff[E any](got, want []E, name func(E) string) string {
+	for i := range min(len(got), len(want)) {
+		if !sameJSON(got[i], want[i]) {
+			return "[" + name(want[i]) + "]"
+		}
+	}
+	return fmt.Sprintf(" (%d entries, snapshot has %d)", len(got), len(want))
 }
 
-func encodeScenario(w *writer, sc *Scenario) {
-	w.i64(sc.Seed)
-	w.str(sc.Policy)
-	w.time(sc.Horizon)
-	w.time(sc.ExchangeLatency)
-	w.str(sc.Repro)
-	w.bool(sc.Invariants)
-	w.u32(uint32(len(sc.Devices)))
-	for i := range sc.Devices {
-		encodeDeviceSpec(w, &sc.Devices[i])
-	}
-	w.u32(uint32(len(sc.Tenants)))
-	for i := range sc.Tenants {
-		t := &sc.Tenants[i]
-		w.str(t.Name)
-		w.str(t.App)
-		w.f64(t.Quota)
-		w.time(t.SLOTarget)
-		w.time(t.Think)
-		w.vint(t.Requests)
-	}
-	w.u32(uint32(len(sc.Migrations)))
-	for _, m := range sc.Migrations {
-		w.time(m.At)
-		w.str(m.Tenant)
-		w.vint(m.Target)
-	}
-	w.u32(uint32(len(sc.Crashes)))
-	for _, c := range sc.Crashes {
-		w.time(c.At)
-		w.vint(c.Device)
-	}
-	w.bool(sc.Rebalance != nil)
-	if sc.Rebalance != nil {
-		w.time(sc.Rebalance.Interval)
-		w.f64(sc.Rebalance.Threshold)
-		w.vint(sc.Rebalance.SustainTicks)
-		w.vint(sc.Rebalance.MaxMoves)
-	}
-	w.bool(sc.Autoscale != nil)
-	if sc.Autoscale != nil {
-		encodeDeviceSpec(w, &sc.Autoscale.Template)
-		w.vint(sc.Autoscale.Min)
-		w.vint(sc.Autoscale.Max)
-		w.f64(sc.Autoscale.HighWatermark)
-		w.f64(sc.Autoscale.LowWatermark)
-	}
-	w.bool(sc.Faults != nil)
-	if sc.Faults != nil {
-		w.i64(sc.Faults.Seed)
-		w.f64(sc.Faults.KernelFaultRate)
-		w.vint(sc.Faults.MaxFaultsPerKernel)
-		w.f64(sc.Faults.CtxFaultRate)
-	}
-	o := &sc.Runtime
-	w.vint(o.MaxSquadKernels)
-	w.f64(o.SplitRatio)
-	w.vint(o.Partitions)
-	w.time(o.SchedPerKernel)
-	w.bool(o.DisableFairSelection)
-	w.bool(o.DisableDeterminer)
-	w.bool(o.DisableSemiSP)
-	w.bool(o.QuotaGuard)
-	w.bool(o.NoAdaptiveSizing)
-	w.bool(o.NoFlush)
-	w.time(o.RetryBackoff)
-	w.time(o.RetryBackoffCap)
-	w.vint(o.MaxRetries)
-	w.time(o.RequestDeadline)
-}
-
-func decodeScenario(r *reader, sc *Scenario) {
-	sc.Seed = r.i64()
-	sc.Policy = r.str()
-	sc.Horizon = r.time()
-	sc.ExchangeLatency = r.time()
-	sc.Repro = r.str()
-	sc.Invariants = r.bool()
-	if n := r.count(16); n > 0 && r.err == nil {
-		sc.Devices = make([]DeviceSpec, n)
-		for i := range sc.Devices {
-			decodeDeviceSpec(r, &sc.Devices[i])
-		}
-	}
-	if n := r.count(16); n > 0 && r.err == nil {
-		sc.Tenants = make([]TenantSpec, n)
-		for i := range sc.Tenants {
-			t := &sc.Tenants[i]
-			t.Name = r.str()
-			t.App = r.str()
-			t.Quota = r.f64()
-			t.SLOTarget = r.time()
-			t.Think = r.time()
-			t.Requests = r.vint()
-		}
-	}
-	if n := r.count(16); n > 0 && r.err == nil {
-		sc.Migrations = make([]Migration, n)
-		for i := range sc.Migrations {
-			m := &sc.Migrations[i]
-			m.At = r.time()
-			m.Tenant = r.str()
-			m.Target = r.vint()
-		}
-	}
-	if n := r.count(16); n > 0 && r.err == nil {
-		sc.Crashes = make([]Crash, n)
-		for i := range sc.Crashes {
-			sc.Crashes[i].At = r.time()
-			sc.Crashes[i].Device = r.vint()
-		}
-	}
-	if r.bool() {
-		sc.Rebalance = &Rebalance{
-			Interval:     r.time(),
-			Threshold:    r.f64(),
-			SustainTicks: r.vint(),
-			MaxMoves:     r.vint(),
-		}
-	}
-	if r.bool() {
-		a := &Autoscale{}
-		decodeDeviceSpec(r, &a.Template)
-		a.Min = r.vint()
-		a.Max = r.vint()
-		a.HighWatermark = r.f64()
-		a.LowWatermark = r.f64()
-		sc.Autoscale = a
-	}
-	if r.bool() {
-		sc.Faults = &FaultPlan{
-			Seed:               r.i64(),
-			KernelFaultRate:    r.f64(),
-			MaxFaultsPerKernel: r.vint(),
-			CtxFaultRate:       r.f64(),
-		}
-	}
-	o := &sc.Runtime
-	o.MaxSquadKernels = r.vint()
-	o.SplitRatio = r.f64()
-	o.Partitions = r.vint()
-	o.SchedPerKernel = r.time()
-	o.DisableFairSelection = r.bool()
-	o.DisableDeterminer = r.bool()
-	o.DisableSemiSP = r.bool()
-	o.QuotaGuard = r.bool()
-	o.NoAdaptiveSizing = r.bool()
-	o.NoFlush = r.bool()
-	o.RetryBackoff = r.time()
-	o.RetryBackoffCap = r.time()
-	o.MaxRetries = r.vint()
-	o.RequestDeadline = r.time()
-}
-
-func encodeState(w *writer, st *State) {
-	w.time(st.At)
-	w.i64(st.Epoch)
-	w.vint(st.ShortfallTicks)
-	w.bool(st.Churned)
-	s := &st.Stats
-	w.vint(s.Admitted)
-	w.vint(s.AdmitRejected)
-	w.i64(s.Routed)
-	w.i64(s.Completed)
-	w.i64(s.Failed)
-	w.vint(s.Migrations)
-	w.vint(s.MigrationsCompleted)
-	w.vint(s.MigrationsRejected)
-	w.vint(s.Rebalances)
-	w.vint(s.ScaleUps)
-	w.vint(s.ScaleDowns)
-	w.vint(s.DeviceCrashes)
-	w.i64(s.Resubmitted)
-	w.vint(s.Evicted)
-	w.vint(s.LostToEviction)
-	w.i64(s.Epochs)
-	w.u32(uint32(len(st.Devices)))
-	for i := range st.Devices {
-		d := &st.Devices[i]
-		w.vint(d.ID)
-		w.str(d.Name)
-		w.vint(d.SMs)
-		w.i64(d.MemoryBytes)
-		w.bool(d.Deployed)
-		w.bool(d.Retired)
-		w.bool(d.Dead)
-		w.vint(d.NextLocal)
-		w.f64(d.Quota)
-		w.i64(d.Mem)
-		w.vint(d.Inflight)
-		w.i64(d.Completed)
-		w.i64(d.Failed)
-		w.i64(d.SLOOK)
-		w.i64(d.SLOMiss)
-		w.i64(d.MemUsed)
-		w.f64(d.Utilization)
-		w.u32(uint32(len(d.Residents)))
-		for _, res := range d.Residents {
-			w.vint(res.Local)
-			w.str(res.Tenant)
-			w.f64(res.Quota)
-			w.i64(res.Mem)
-			w.bool(res.Draining)
-			w.vint(res.Pending)
-		}
-		w.u32(uint32(len(d.Queues)))
-		for _, q := range d.Queues {
-			w.vint(q.Owner)
-			w.vint(q.Pending)
-			w.bool(q.Paused)
-			w.bool(q.Running)
-		}
-		w.bool(d.Runtime != nil)
-		if d.Runtime != nil {
-			rt := d.Runtime
-			w.u32(uint32(len(rt.Clients)))
-			for _, c := range rt.Clients {
-				w.vint(c.ID)
-				w.f64(c.Provisioned)
-				w.f64(c.Effective)
-				w.vint(c.Queued)
-				w.vint(c.ActiveSeq)
-				w.vint(c.ActiveNextK)
-				w.vint(c.ActiveInFlight)
-				w.bool(c.Leaving)
-				w.bool(c.Dead)
-				w.bool(c.Released)
-			}
-			w.i64(rt.SquadsExecuted)
-			w.i64(rt.SpatialSquads)
-			w.i64(rt.KernelsScheduled)
-			w.i64(rt.ConfigsEvaluated)
-			w.bool(rt.SquadRunning)
-			f := &rt.Faults
-			w.i64(f.KernelFaults)
-			w.i64(f.Retries)
-			w.i64(f.RetryAborts)
-			w.i64(f.DeadlineAborts)
-			w.i64(f.CtxFaults)
-			w.i64(f.StallDelays)
-			w.i64(f.Crashes)
-			w.i64(f.Leaves)
-			w.i64(f.Joins)
-			w.i64(f.CancelledKernels)
-		}
-	}
-	w.u32(uint32(len(st.Tenants)))
-	for i := range st.Tenants {
-		t := &st.Tenants[i]
-		w.str(t.Name)
-		w.str(t.App)
-		w.f64(t.Quota)
-		w.time(t.SLOTarget)
-		w.time(t.Think)
-		w.vint(t.Requests)
-		w.vint(t.Host)
-		w.bool(t.Evicted)
-		w.vint(t.NextSeq)
-		w.vint(t.Completed)
-		w.vint(t.Failed)
-		w.vint(t.Migrations)
-		w.time(t.LatencySum)
-		w.ints(t.Order)
-		w.times(t.Latencies)
-		w.ints(t.PendingSeqs)
-		w.ints(t.PendingDevs)
-		w.ints(t.Drains)
-		w.times(t.Timers)
-	}
-	w.u32(uint32(len(st.Inbox)))
-	for i := range st.Inbox {
-		rec := &st.Inbox[i]
-		w.time(rec.Deliver)
-		w.time(rec.At)
-		w.vint(rec.Dev)
-		w.u64(rec.Seq)
-		w.str(rec.Tenant)
-		w.vint(rec.Local)
-		w.vint(rec.RSeq)
-		w.bool(rec.Failed)
-		w.time(rec.Lat)
-		w.bool(rec.Drained)
-	}
-	w.times(st.ControlTimes)
-	w.times(st.EventTimes)
-	w.bool(st.Checker != nil)
-	if st.Checker != nil {
-		w.u64(st.Checker.Digest)
-		w.i64(st.Checker.Events)
-		w.i64(st.Checker.Routed)
-		w.i64(st.Checker.Completed)
-		w.i64(st.Checker.Rerouted)
-	}
-}
-
-func decodeState(r *reader, st *State) {
-	st.At = r.time()
-	st.Epoch = r.i64()
-	st.ShortfallTicks = r.vint()
-	st.Churned = r.bool()
-	s := &st.Stats
-	s.Admitted = r.vint()
-	s.AdmitRejected = r.vint()
-	s.Routed = r.i64()
-	s.Completed = r.i64()
-	s.Failed = r.i64()
-	s.Migrations = r.vint()
-	s.MigrationsCompleted = r.vint()
-	s.MigrationsRejected = r.vint()
-	s.Rebalances = r.vint()
-	s.ScaleUps = r.vint()
-	s.ScaleDowns = r.vint()
-	s.DeviceCrashes = r.vint()
-	s.Resubmitted = r.i64()
-	s.Evicted = r.vint()
-	s.LostToEviction = r.vint()
-	s.Epochs = r.i64()
-	if n := r.count(32); n > 0 && r.err == nil {
-		st.Devices = make([]DeviceState, n)
-		for i := range st.Devices {
-			d := &st.Devices[i]
-			d.ID = r.vint()
-			d.Name = r.str()
-			d.SMs = r.vint()
-			d.MemoryBytes = r.i64()
-			d.Deployed = r.bool()
-			d.Retired = r.bool()
-			d.Dead = r.bool()
-			d.NextLocal = r.vint()
-			d.Quota = r.f64()
-			d.Mem = r.i64()
-			d.Inflight = r.vint()
-			d.Completed = r.i64()
-			d.Failed = r.i64()
-			d.SLOOK = r.i64()
-			d.SLOMiss = r.i64()
-			d.MemUsed = r.i64()
-			d.Utilization = r.f64()
-			if n := r.count(16); n > 0 && r.err == nil {
-				d.Residents = make([]ResidentState, n)
-				for j := range d.Residents {
-					res := &d.Residents[j]
-					res.Local = r.vint()
-					res.Tenant = r.str()
-					res.Quota = r.f64()
-					res.Mem = r.i64()
-					res.Draining = r.bool()
-					res.Pending = r.vint()
-				}
-			}
-			if n := r.count(16); n > 0 && r.err == nil {
-				d.Queues = make([]QueueState, n)
-				for j := range d.Queues {
-					q := &d.Queues[j]
-					q.Owner = r.vint()
-					q.Pending = r.vint()
-					q.Paused = r.bool()
-					q.Running = r.bool()
-				}
-			}
-			if r.bool() {
-				rt := &RuntimeState{}
-				if n := r.count(32); n > 0 && r.err == nil {
-					rt.Clients = make([]ClientState, n)
-					for j := range rt.Clients {
-						c := &rt.Clients[j]
-						c.ID = r.vint()
-						c.Provisioned = r.f64()
-						c.Effective = r.f64()
-						c.Queued = r.vint()
-						c.ActiveSeq = r.vint()
-						c.ActiveNextK = r.vint()
-						c.ActiveInFlight = r.vint()
-						c.Leaving = r.bool()
-						c.Dead = r.bool()
-						c.Released = r.bool()
-					}
-				}
-				rt.SquadsExecuted = r.i64()
-				rt.SpatialSquads = r.i64()
-				rt.KernelsScheduled = r.i64()
-				rt.ConfigsEvaluated = r.i64()
-				rt.SquadRunning = r.bool()
-				f := &rt.Faults
-				f.KernelFaults = r.i64()
-				f.Retries = r.i64()
-				f.RetryAborts = r.i64()
-				f.DeadlineAborts = r.i64()
-				f.CtxFaults = r.i64()
-				f.StallDelays = r.i64()
-				f.Crashes = r.i64()
-				f.Leaves = r.i64()
-				f.Joins = r.i64()
-				f.CancelledKernels = r.i64()
-				d.Runtime = rt
-			}
-		}
-	}
-	if n := r.count(32); n > 0 && r.err == nil {
-		st.Tenants = make([]TenantState, n)
-		for i := range st.Tenants {
-			t := &st.Tenants[i]
-			t.Name = r.str()
-			t.App = r.str()
-			t.Quota = r.f64()
-			t.SLOTarget = r.time()
-			t.Think = r.time()
-			t.Requests = r.vint()
-			t.Host = r.vint()
-			t.Evicted = r.bool()
-			t.NextSeq = r.vint()
-			t.Completed = r.vint()
-			t.Failed = r.vint()
-			t.Migrations = r.vint()
-			t.LatencySum = r.time()
-			t.Order = r.ints()
-			t.Latencies = r.times()
-			t.PendingSeqs = r.ints()
-			t.PendingDevs = r.ints()
-			t.Drains = r.ints()
-			t.Timers = r.times()
-		}
-	}
-	if n := r.count(32); n > 0 && r.err == nil {
-		st.Inbox = make([]ExchangeRecord, n)
-		for i := range st.Inbox {
-			rec := &st.Inbox[i]
-			rec.Deliver = r.time()
-			rec.At = r.time()
-			rec.Dev = r.vint()
-			rec.Seq = r.u64()
-			rec.Tenant = r.str()
-			rec.Local = r.vint()
-			rec.RSeq = r.vint()
-			rec.Failed = r.bool()
-			rec.Lat = r.time()
-			rec.Drained = r.bool()
-		}
-	}
-	st.ControlTimes = r.times()
-	st.EventTimes = r.times()
-	if r.bool() {
-		st.Checker = &CheckerState{
-			Digest:    r.u64(),
-			Events:    r.i64(),
-			Routed:    r.i64(),
-			Completed: r.i64(),
-			Rerouted:  r.i64(),
-		}
-	}
+func sameJSON(a, b any) bool {
+	ja, errA := json.Marshal(a)
+	jb, errB := json.Marshal(b)
+	return errA == nil && errB == nil && bytes.Equal(ja, jb)
 }

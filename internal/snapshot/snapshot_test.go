@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"strings"
 	"testing"
@@ -9,48 +10,13 @@ import (
 	"bless/internal/sim"
 )
 
-// sampleSnapshot exercises every wire-format field at least once: optional
+// sampleSnapshot exercises every state field at least once: optional
 // sections present, nested slices non-empty, negative and boundary values.
+// The scenario is opaque to this package, so any JSON value stands in.
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
-		Seed:      7,
-		Shards:    4,
 		BarrierAt: 25 * sim.Millisecond,
-		Horizon:   60 * sim.Millisecond,
-		Scenario: Scenario{
-			Seed:            7,
-			Policy:          "least-loaded",
-			Horizon:         60 * sim.Millisecond,
-			ExchangeLatency: 100 * sim.Microsecond,
-			Repro:           "blessbench -fleet -smoke -seed 7",
-			Invariants:      true,
-			Devices: []DeviceSpec{
-				{Name: "gpu0", SMs: 108, MemoryBytes: 40 << 30, PCIeBytesPerNS: 25,
-					KernelLaunch: 3 * sim.Microsecond, ContextSwitch: 50 * sim.Microsecond,
-					SquadSync: 20 * sim.Microsecond, ContextMemBytes: 230 << 20,
-					SlowdownCap: 2, BWSatOccupancy: 0.5, InterferenceBeta: 0.3},
-				{Name: "gpu1", SMs: 60, MemoryBytes: 24 << 30, PCIeBytesPerNS: 25},
-			},
-			Tenants: []TenantSpec{
-				{Name: "t000", App: "vgg11", Quota: 0.13, Think: 2 * sim.Millisecond},
-				{Name: "t001", App: "bert", Quota: 0.18, SLOTarget: 150 * sim.Millisecond,
-					Think: 3 * sim.Millisecond, Requests: 12},
-			},
-			Migrations: []Migration{{At: 20 * sim.Millisecond, Tenant: "t000", Target: 1}},
-			Crashes:    []Crash{{At: 20 * sim.Millisecond, Device: 1}},
-			Rebalance:  &Rebalance{Interval: 10 * sim.Millisecond, Threshold: 0.25, SustainTicks: 2, MaxMoves: 4},
-			Autoscale: &Autoscale{
-				Template: DeviceSpec{Name: "gpu", SMs: 108, MemoryBytes: 40 << 30},
-				Min:      2, Max: 6, HighWatermark: 0.85, LowWatermark: 0.2,
-			},
-			Faults: &FaultPlan{Seed: 99, KernelFaultRate: 0.02, MaxFaultsPerKernel: 2, CtxFaultRate: 0.01},
-			Runtime: RuntimeOptions{
-				MaxSquadKernels: 50, SplitRatio: 0.5, Partitions: 18,
-				SchedPerKernel: 6700, QuotaGuard: true,
-				RetryBackoff: 20 * sim.Microsecond, RetryBackoffCap: sim.Millisecond,
-				MaxRetries: 8, RequestDeadline: 500 * sim.Millisecond,
-			},
-		},
+		Scenario:  []byte(`{"Seed":7,"Policy":"least-loaded","Horizon":60000000,"Repro":"blessbench -fleet -smoke -seed 7"}`),
 		State: State{
 			At:             25 * sim.Millisecond,
 			Epoch:          2,
@@ -116,58 +82,103 @@ func sampleSnapshot() *Snapshot {
 	}
 }
 
+func mustEncode(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	data, err := Encode(s)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return data
+}
+
+// frame seals payload under version exactly as Encode would, so tests can
+// hand Decode well-sealed frames carrying hostile content.
+func frame(version uint32, payload []byte) []byte {
+	buf := append([]byte(Magic), binary.LittleEndian.AppendUint32(nil, version)...)
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint64(buf, fnv1a(buf))
+}
+
+// payloadOf strips the header and seal from an encoded snapshot.
+func payloadOf(data []byte) []byte { return data[headerLen : len(data)-sealLen] }
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := sampleSnapshot()
-	data := Encode(s)
+	data := mustEncode(t, s)
 	got, err := Decode(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	// Canonical encoding: re-encoding the decoded snapshot must reproduce
 	// the exact bytes, which subsumes a field-by-field comparison.
-	if !bytes.Equal(Encode(got), data) {
+	if !bytes.Equal(mustEncode(t, got), data) {
 		t.Fatal("re-encoded snapshot differs from original bytes")
 	}
-	if got.Scenario.Faults == nil || got.State.Checker == nil || got.State.Devices[0].Runtime == nil {
+	if got.State.Checker == nil || got.State.Devices[0].Runtime == nil {
 		t.Fatal("optional sections lost in round trip")
 	}
 	if StateDigest(&got.State) != StateDigest(&s.State) {
 		t.Fatal("state digest moved across round trip")
 	}
+	if d := Divergence(&got.State, &s.State); d != "" {
+		t.Fatalf("round-tripped state diverges at %s", d)
+	}
 }
 
 func TestSnapshotRoundTripMinimal(t *testing.T) {
-	s := &Snapshot{Seed: 1, Shards: 1, Scenario: Scenario{Seed: 1}}
-	got, err := Decode(Encode(s))
+	s := &Snapshot{Scenario: []byte(`{"Seed":1}`)}
+	got, err := Decode(mustEncode(t, s))
 	if err != nil {
 		t.Fatalf("decode minimal: %v", err)
 	}
-	if !bytes.Equal(Encode(got), Encode(s)) {
+	if !bytes.Equal(mustEncode(t, got), mustEncode(t, s)) {
 		t.Fatal("minimal snapshot not canonical")
 	}
-	if got.Scenario.Rebalance != nil || got.State.Checker != nil {
+	if got.State.Checker != nil || got.State.Devices != nil {
 		t.Fatal("optional sections materialized from nothing")
 	}
 }
 
 // TestSnapshotGolden pins the wire format: the header bytes exactly, and the
 // digest of the full sample encoding. Any unintentional change to field
-// order, widths, or endianness breaks this test — intentional changes must
-// bump Version and update the golden values.
+// order, names, or float formatting breaks this test — intentional changes
+// must bump Version and update the golden values.
 func TestSnapshotGolden(t *testing.T) {
-	data := Encode(sampleSnapshot())
-	const goldenHeader = "424c4553534e415001000000" // "BLESSNAP" + version 1 LE
-	if got := hex.EncodeToString(data[:12]); got != goldenHeader {
+	data := mustEncode(t, sampleSnapshot())
+	const goldenHeader = "424c4553534e415002000000" // "BLESSNAP" + version 2 LE
+	if got := hex.EncodeToString(data[:headerLen]); got != goldenHeader {
 		t.Fatalf("header drifted:\n got %s\nwant %s", got, goldenHeader)
 	}
-	const goldenDigest = uint64(0xb427185178a80904)
+	const goldenDigest = uint64(0x4c166d4a0f49fdd0)
 	if got := fnv1a(data); got != goldenDigest {
 		t.Fatalf("wire format drifted: payload digest %#x, golden %#x — if intentional, bump Version and refresh", got, goldenDigest)
 	}
 }
 
+// TestDivergenceNamesPart pins the import proof's failure message: the first
+// differing top-level field, narrowed to the tenant or device.
+func TestDivergenceNamesPart(t *testing.T) {
+	want := sampleSnapshot().State
+	for _, tc := range []struct {
+		mutate func(st *State)
+		part   string
+	}{
+		{func(st *State) { st.Tenants[1].NextSeq++ }, `Tenants["t001"]`},
+		{func(st *State) { st.Devices[1].Dead = false }, "Devices[id 1]"},
+		{func(st *State) { st.Devices = st.Devices[:1] }, "Devices (1 entries, snapshot has 2)"},
+		{func(st *State) { st.Checker.Events++ }, "Checker"},
+		{func(st *State) { st.EventTimes = nil }, "EventTimes"},
+	} {
+		got := sampleSnapshot().State
+		tc.mutate(&got)
+		if d := Divergence(&got, &want); d != tc.part {
+			t.Errorf("divergence %q, want %q", d, tc.part)
+		}
+	}
+}
+
 func TestSnapshotDecodeRejectsBadMagic(t *testing.T) {
-	data := Encode(sampleSnapshot())
+	data := mustEncode(t, sampleSnapshot())
 	data[0] = 'X'
 	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic not rejected: %v", err)
@@ -175,23 +186,24 @@ func TestSnapshotDecodeRejectsBadMagic(t *testing.T) {
 }
 
 func TestSnapshotDecodeRejectsNewerVersion(t *testing.T) {
-	s := sampleSnapshot()
-	data := Encode(s)
-	// Patch the version field (offset 8, LE u32) to Version+1 and re-seal
-	// the digest — a well-formed snapshot from a future build.
-	data[8] = byte(Version + 1)
-	body := data[:len(data)-8]
-	d := fnv1a(body)
-	for i := 0; i < 8; i++ {
-		data[len(body)+i] = byte(d >> (8 * i))
-	}
+	// A well-sealed snapshot from a future build.
+	data := frame(Version+1, payloadOf(mustEncode(t, sampleSnapshot())))
 	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "newer") {
 		t.Fatalf("forward-incompatible snapshot not rejected: %v", err)
 	}
 }
 
+func TestSnapshotDecodeRejectsOldVersion(t *testing.T) {
+	// Version 1 was the retired binary payload: refused by name, not
+	// misparsed as JSON.
+	data := frame(1, payloadOf(mustEncode(t, sampleSnapshot())))
+	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "no longer supported") {
+		t.Fatalf("version-1 snapshot not rejected: %v", err)
+	}
+}
+
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
-	data := Encode(sampleSnapshot())
+	data := mustEncode(t, sampleSnapshot())
 	flip := append([]byte(nil), data...)
 	flip[len(flip)/2] ^= 0x40
 	if _, err := Decode(flip); err == nil {
@@ -204,44 +216,76 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(data[:4]); err == nil {
 		t.Fatal("too-short payload not rejected")
 	}
-}
-
-func TestSnapshotDecodeRejectsTrailingBytes(t *testing.T) {
-	s := sampleSnapshot()
-	w := &writer{}
-	w.buf = append(w.buf, Magic...)
-	w.u32(Version)
-	w.i64(s.Seed)
-	w.vint(s.Shards)
-	w.time(s.BarrierAt)
-	w.time(s.Horizon)
-	encodeScenario(w, &s.Scenario)
-	encodeState(w, &s.State)
-	w.buf = append(w.buf, 0xAA) // smuggled trailing byte inside the sealed body
-	w.u64(fnv1a(w.buf))
-	if _, err := Decode(w.buf); err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Fatalf("trailing bytes not rejected: %v", err)
+	// Well-sealed but malformed payloads: the seal cannot vouch for content.
+	for _, payload := range []string{
+		``,
+		`{"BarrierAt":1`,
+		`{"BarrierAt":1,"Unknown":2}`,
+		`{"State":{"Devices":[{"Bogus":true}]}}`,
+		`{"BarrierAt":"soon"}`,
+	} {
+		if _, err := Decode(frame(Version, []byte(payload))); err == nil {
+			t.Errorf("malformed payload %q not rejected", payload)
+		}
 	}
 }
 
-func TestSnapshotDecodeRejectsHugeLength(t *testing.T) {
-	// A corrupted slice length must fail cleanly, not attempt a giant alloc.
-	w := &writer{}
-	w.buf = append(w.buf, Magic...)
-	w.u32(Version)
-	w.i64(1)
-	w.vint(1)
-	w.time(0)
-	w.time(0)
-	w.i64(1)       // scenario seed
-	w.str("p")     // policy
-	w.time(0)      // horizon
-	w.time(0)      // exchange latency
-	w.str("")      // repro
-	w.bool(false)  // invariants
-	w.u32(1 << 30) // devices length: absurd
-	w.u64(fnv1a(w.buf))
-	if _, err := Decode(w.buf); err == nil {
-		t.Fatal("absurd slice length not rejected")
+func TestSnapshotDecodeRejectsTrailingBytes(t *testing.T) {
+	payload := payloadOf(mustEncode(t, sampleSnapshot()))
+	for _, tail := range []string{"\xaa", " ", "{}"} {
+		// Smuggled after the JSON value but inside the seal.
+		data := frame(Version, append(append([]byte(nil), payload...), tail...))
+		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Fatalf("trailing %q not rejected: %v", tail, err)
+		}
+	}
+}
+
+// FuzzDecode feeds Decode hostile frames. Decode must never panic, and
+// whatever it accepts must re-encode to canonical bytes: encoding the
+// decoded snapshot, decoding that, and encoding again is a fixed point.
+func FuzzDecode(f *testing.F) {
+	full, err := Encode(sampleSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	minimal, err := Encode(&Snapshot{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add(minimal)
+	f.Add(full[:len(full)/2])
+	f.Add(frame(Version+1, payloadOf(full)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeFixedPoint(t, data)
+		// Mutations almost never keep the seal valid; resealing the same
+		// bytes lets the fuzzer reach the version check and JSON parser.
+		if len(data) >= headerLen+sealLen {
+			body := data[:len(data)-sealLen]
+			decodeFixedPoint(t, binary.LittleEndian.AppendUint64(append([]byte(nil), body...), fnv1a(body)))
+		}
+	})
+}
+
+func decodeFixedPoint(t *testing.T, data []byte) {
+	s, err := Decode(data)
+	if err != nil {
+		return
+	}
+	once, err := Encode(s)
+	if err != nil {
+		t.Fatalf("accepted snapshot does not re-encode: %v", err)
+	}
+	again, err := Decode(once)
+	if err != nil {
+		t.Fatalf("re-encoded snapshot does not decode: %v", err)
+	}
+	twice, err := Encode(again)
+	if err != nil {
+		t.Fatalf("second re-encode failed: %v", err)
+	}
+	if !bytes.Equal(once, twice) {
+		t.Fatalf("re-encoding is not a fixed point:\n%q\n%q", once, twice)
 	}
 }

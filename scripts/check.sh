@@ -96,6 +96,11 @@ go run ./cmd/blessbench -fleet -smoke -snapshot "$snap_file"
 go run ./cmd/blessbench -snapshot-import "$snap_file" -shards 2
 rm -f "$snap_file"
 
+echo "== snapshot fuzz =="
+# Hostile snapshot bytes: Decode must never panic, and whatever it accepts
+# must re-encode to a fixed point (internal/snapshot FuzzDecode).
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/snapshot/
+
 echo "== serving front end =="
 # The serving-path smoke gate over real TCP: blessd boots, blessload proves
 # serial-vs-concurrent digest identity (under load shed) and runs a
