@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check test test-race test-sim-nondeterminism test-sim-import-export test-sim-after-import bench bench-smoke bench-compare bench-serve service-load fmt
+.PHONY: check test test-race digest-diff test-sim-nondeterminism test-sim-import-export test-sim-after-import bench bench-smoke bench-compare bench-serve service-load fmt
 
 ## check: formatting, vet, build, race tests, invariant + determinism stages
 check:
@@ -19,6 +19,12 @@ test:
 ## race detector, with caching disabled so every push re-exercises the races
 test-race:
 	$(GO) test -race -count=1 ./...
+
+## digest-diff: prove the working tree bit-identical to BASE (e.g.
+## `make digest-diff BASE=HEAD~`): the 60-case determinism digest corpus runs
+## in a clean export of BASE and in the working tree, and the dumps must match
+digest-diff:
+	BASE=$(BASE) ./scripts/digest_diff.sh
 
 ## test-sim-nondeterminism: the multi-seed determinism & metamorphic suite,
 ## including the digest-corpus serial-vs-parallel identity check (the suites

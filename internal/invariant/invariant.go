@@ -326,6 +326,11 @@ type Checker struct {
 
 	queues map[*sim.Queue]*queueState
 
+	// verifySample scratch, indexed by context ID and reused across
+	// samples: each context's summed allocation and the context itself.
+	ctxAlloc []float64
+	ctxOf    []*sim.Context
+
 	// piecewise-constant integration state
 	haveSample bool
 	lastSample sim.Time
@@ -590,7 +595,6 @@ func (c *Checker) integrate(at sim.Time) {
 func (c *Checker) verifySample(at sim.Time, loads []sim.QueueLoad) {
 	slack := c.opts.SMSlack
 	total := 0.0
-	perCtx := map[*sim.Context]float64{}
 	for _, ql := range loads {
 		if ql.Alloc < -slack {
 			c.violate(Conservation, at, "queue %q holds a negative allocation %g", ql.Queue.Label(), ql.Alloc)
@@ -600,16 +604,28 @@ func (c *Checker) verifySample(at sim.Time, loads []sim.QueueLoad) {
 				ql.Running.Name, ql.Queue.Label(), ql.Alloc, ql.Demand)
 		}
 		total += ql.Alloc
-		perCtx[ql.Queue.Context()] += ql.Alloc
+		ctx := ql.Queue.Context()
+		id := ctx.ID()
+		for len(c.ctxAlloc) <= id {
+			c.ctxAlloc = append(c.ctxAlloc, 0)
+			c.ctxOf = append(c.ctxOf, nil)
+		}
+		c.ctxAlloc[id] += ql.Alloc
+		c.ctxOf[id] = ctx
 	}
 	if cap := float64(c.cfg.SMs); total > cap+slack {
 		c.violate(Conservation, at, "allocated %.3f SMs on a %d-SM device: busy+idle exceeds capacity", total, c.cfg.SMs)
 	}
-	for ctx, alloc := range perCtx {
-		if ctx.SMLimit > 0 && alloc > float64(ctx.SMLimit)+slack {
+	// Contexts are checked (and reported) in ID order.
+	for id, ctx := range c.ctxOf {
+		if ctx == nil {
+			continue
+		}
+		if alloc := c.ctxAlloc[id]; ctx.SMLimit > 0 && alloc > float64(ctx.SMLimit)+slack {
 			c.violate(Conservation, at, "context %q holds %.3f SMs above its SM-affinity limit %d",
 				ctx.Label(), alloc, ctx.SMLimit)
 		}
+		c.ctxAlloc[id], c.ctxOf[id] = 0, nil
 	}
 }
 

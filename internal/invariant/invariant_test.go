@@ -172,6 +172,30 @@ func TestConservationDetectsFabricatedLoads(t *testing.T) {
 	})
 }
 
+// TestAffinityViolationsReportInContextOrder puts two over-limit contexts in
+// one sample and requires their violations in the same order on every run:
+// context-ID order, whatever order the sample lists their queues in.
+func TestAffinityViolationsReportInContextOrder(t *testing.T) {
+	gpu := sim.NewGPU(sim.NewEngine(), sim.DefaultConfig())
+	first := fakeQueue(t, gpu, "first", 10)
+	second := fakeQueue(t, gpu, "second", 20)
+	loads := []sim.QueueLoad{
+		{Queue: second, Alloc: 30, Want: 30},
+		{Queue: first, Alloc: 15, Want: 15},
+	}
+	for run := 0; run < 20; run++ {
+		chk := New(nil, gpu.Config(), Options{})
+		chk.AllocationsChanged(0, loads)
+		rep := chk.Report()
+		if len(rep.Violations) != 2 {
+			t.Fatalf("run %d: %d violations, want 2: %+v", run, len(rep.Violations), rep.Violations)
+		}
+		if !strings.Contains(rep.Violations[0].Msg, `"first"`) || !strings.Contains(rep.Violations[1].Msg, `"second"`) {
+			t.Fatalf("run %d: violations out of context order: %q, %q", run, rep.Violations[0].Msg, rep.Violations[1].Msg)
+		}
+	}
+}
+
 func TestOrderDetectsSyntheticViolations(t *testing.T) {
 	eng := sim.NewEngine()
 	gpu := sim.NewGPU(eng, sim.DefaultConfig())

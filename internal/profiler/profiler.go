@@ -113,10 +113,18 @@ func (p *Profile) KernelDurAt(k, sms int) sim.Time {
 	if sms >= p.PartitionSMs[last] {
 		return kp.Dur[last]
 	}
-	// Find the surrounding grid points.
+	// Find the surrounding grid points: hi is the first partition with at
+	// least sms SMs. On the uniform grid the guess is at most one step off;
+	// the walks make it exact on any sorted grid.
 	hi := 1
+	if p.DeviceSMs > 0 {
+		hi = min(max(sms*len(p.PartitionSMs)/p.DeviceSMs, 1), last)
+	}
 	for p.PartitionSMs[hi] < sms {
 		hi++
+	}
+	for p.PartitionSMs[hi-1] >= sms {
+		hi--
 	}
 	lo := hi - 1
 	x0, x1 := p.PartitionSMs[lo], p.PartitionSMs[hi]

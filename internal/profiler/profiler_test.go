@@ -324,3 +324,84 @@ func TestKernelDurAtUnbounded(t *testing.T) {
 		t.Errorf("unbounded at 2x saturation = %v, want ~half the saturated duration %v", beyond, wantHalf)
 	}
 }
+
+// linearKernelDurAt is KernelDurAt with the plain linear bracket search, the
+// reference for the guessed-start search.
+func linearKernelDurAt(p *Profile, k, sms int) sim.Time {
+	kp := &p.Kernels[k]
+	if !kp.IsCompute {
+		return kp.Dur[len(kp.Dur)-1]
+	}
+	if sms <= p.PartitionSMs[0] {
+		return sim.Time(float64(kp.Dur[0]) * float64(p.PartitionSMs[0]) / float64(max(1, sms)))
+	}
+	last := len(p.PartitionSMs) - 1
+	if sms >= p.PartitionSMs[last] {
+		return kp.Dur[last]
+	}
+	hi := 1
+	for p.PartitionSMs[hi] < sms {
+		hi++
+	}
+	lo := hi - 1
+	x0, x1 := p.PartitionSMs[lo], p.PartitionSMs[hi]
+	y0, y1 := float64(kp.Dur[lo]), float64(kp.Dur[hi])
+	return sim.Time(y0 + (y1-y0)*float64(sms-x0)/float64(x1-x0))
+}
+
+// linearKernelDurAtUnbounded is KernelDurAtUnbounded over linearKernelDurAt.
+func linearKernelDurAtUnbounded(p *Profile, k, sms int) sim.Time {
+	kp := &p.Kernels[k]
+	if !kp.IsCompute || sms <= kp.MaxSMs {
+		return linearKernelDurAt(p, k, sms)
+	}
+	d := sim.Time(float64(kp.Dur[len(kp.Dur)-1]) * float64(kp.MaxSMs) / float64(sms))
+	if d < 1 {
+		d = 1
+	}
+	return d
+}
+
+// TestKernelDurAtMatchesLinearScan checks the guessed-start bracket search
+// against the linear scan for every SM count in [-1, DeviceSMs+2], on every
+// catalog app's profile, a 2-point grid and irregular grids whose points are
+// far from the uniform guess.
+func TestKernelDurAtMatchesLinearScan(t *testing.T) {
+	var profiles []*Profile
+	for _, name := range model.Names() {
+		p, err := ProfileApp(model.MustGet(name), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		profiles = append(profiles, p)
+	}
+	synthetic := func(name string, deviceSMs int, grid []int) *Profile {
+		p := &Profile{AppName: name, Partitions: len(grid), DeviceSMs: deviceSMs, PartitionSMs: grid}
+		for k := 0; k < 4; k++ {
+			kp := KernelProfile{MaxSMs: grid[k%len(grid)], IsCompute: k != 3}
+			for i := range grid {
+				kp.Dur = append(kp.Dur, sim.Time(1000*(k+1)*(len(grid)-i)+7*i*i))
+			}
+			p.Kernels = append(p.Kernels, kp)
+		}
+		return p
+	}
+	profiles = append(profiles,
+		synthetic("two-point", 20, []int{10, 20}),
+		synthetic("irregular", 108, []int{3, 4, 5, 40, 41, 90, 100, 108}),
+		synthetic("clustered-high", 108, []int{96, 100, 104, 106, 107, 108}),
+		synthetic("short-of-device", 108, []int{8, 16, 30}),
+	)
+	for _, p := range profiles {
+		for k := range p.Kernels {
+			for sms := -1; sms <= p.DeviceSMs+2; sms++ {
+				if got, want := p.KernelDurAt(k, sms), linearKernelDurAt(p, k, sms); got != want {
+					t.Fatalf("%s kernel %d at %d SMs: KernelDurAt %d, linear scan %d", p.AppName, k, sms, got, want)
+				}
+				if got, want := p.KernelDurAtUnbounded(k, sms), linearKernelDurAtUnbounded(p, k, sms); got != want {
+					t.Fatalf("%s kernel %d at %d SMs: KernelDurAtUnbounded %d, linear scan %d", p.AppName, k, sms, got, want)
+				}
+			}
+		}
+	}
+}

@@ -16,7 +16,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -55,14 +54,18 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
 // Event is a scheduled callback. The zero Event is invalid; events are
-// created through Engine.Schedule and may be revoked with Cancel.
+// created through Engine.Schedule, may be moved with Engine.Reschedule and
+// may be revoked with Cancel.
 //
 // Event objects are pooled: once an event has fired (its callback returned)
 // or has been canceled and subsequently discarded by the engine, its handle
 // is dead and the object may back a future Schedule call. Holding a handle
-// past that point and calling Cancel on it would revoke an unrelated later
-// event — release (nil out) stored handles no later than inside the firing
-// callback, as GPU.completion and the temporal baseline's slice timer do.
+// past that point and calling Cancel or Reschedule on it would act on an
+// unrelated later event — release (nil out) stored handles no later than
+// inside the firing callback, as GPU.completion and the temporal baseline's
+// slice timer do. Reschedule keeps a handle alive: the same event moves to
+// its new instant, so a handle re-armed any number of times stays valid until
+// the event fires or is canceled.
 type Event struct {
 	at       Time
 	seq      uint64
@@ -82,33 +85,81 @@ func (e *Event) Cancel() {
 // At reports the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). The order
+// is total (seq is unique), so the pop sequence depends only on the set of
+// live events, never on the heap's internal layout. The operations are typed
+// versions of container/heap's, without its interface dispatch.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
 }
-func (h *eventHeap) Pop() any {
+
+// down sifts element i0 toward the leaves of h[:n] and reports whether it
+// moved.
+func (h eventHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(ev *Event) {
+	ev.index = len(*h)
+	*h = append(*h, ev)
+	h.up(ev.index)
+}
+
+func (h *eventHeap) pop() *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	old.swap(0, n)
+	old.down(0, n)
+	ev := old[n]
+	old[n] = nil
+	ev.index = -1
+	*h = old[:n]
+	return ev
+}
+
+// fix restores heap order after the element at index i changed its key.
+func (h eventHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
 }
 
 // Engine is a discrete-event simulation loop: a virtual clock plus a heap of
@@ -148,8 +199,29 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 		ev = &Event{at: at, seq: e.seq, fn: fn}
 	}
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
+}
+
+// Reschedule moves a pending event to fire at at instead, keeping its
+// callback; at in the past is clamped to now, as in Schedule. It is exactly
+// Cancel followed by Schedule of the same callback — the event takes a fresh
+// sequence number, so it fires after every event already scheduled for the
+// same instant — except that the event moves in place: no dead entry is left
+// in the heap and the handle stays valid. Rescheduling a canceled event that
+// the engine has not yet discarded revives it. A fired or discarded event's
+// handle is dead (see Event): Reschedule panics on it unless the pooled
+// object already backs a later event.
+func (e *Engine) Reschedule(ev *Event, at Time) {
+	if ev.index < 0 || ev.index >= len(e.events) || e.events[ev.index] != ev {
+		panic("sim: Reschedule of an event that is not pending")
+	}
+	if at < e.now {
+		at = e.now
+	}
+	ev.at, ev.seq, ev.canceled = at, e.seq, false
+	e.seq++
+	e.events.fix(ev.index)
 }
 
 // recycle returns a dead (fired or canceled-and-popped) event to the pool.
@@ -163,7 +235,9 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.Schedule(e.now+d, fn)
 }
 
-// Pending reports the number of scheduled (possibly canceled) events.
+// Pending reports the number of heap entries: live events plus canceled
+// ones the engine has not yet discarded. Events moved with Reschedule count
+// once — an in-place re-arm leaves no canceled entry behind.
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Stop makes the currently running Run/RunUntil call return after the
@@ -173,18 +247,27 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step fires the earliest pending non-canceled event and advances the clock
 // to its timestamp. It reports whether an event fired.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		ev.fn()
-		e.recycle(ev)
-		return true
+	ev := e.peek()
+	if ev == nil {
+		return false
 	}
-	return false
+	e.events.pop()
+	e.now = ev.at
+	ev.fn()
+	e.recycle(ev)
+	return true
+}
+
+// peek discards canceled events at the head of the heap and returns the
+// earliest live event, nil when none is queued.
+func (e *Engine) peek() *Event {
+	for len(e.events) > 0 && e.events[0].canceled {
+		e.recycle(e.events.pop())
+	}
+	if len(e.events) == 0 {
+		return nil
+	}
+	return e.events[0]
 }
 
 // Run fires events until the queue drains or Stop is called.
@@ -200,15 +283,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		// Peek at the earliest live event.
-		idx := -1
-		for len(e.events) > 0 && e.events[0].canceled {
-			e.recycle(heap.Pop(&e.events).(*Event))
-		}
-		if len(e.events) > 0 {
-			idx = 0
-		}
-		if idx < 0 || e.events[0].at > deadline {
+		if ev := e.peek(); ev == nil || ev.at > deadline {
 			break
 		}
 		e.Step()
@@ -226,10 +301,7 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) RunBefore(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		for len(e.events) > 0 && e.events[0].canceled {
-			e.recycle(heap.Pop(&e.events).(*Event))
-		}
-		if len(e.events) == 0 || e.events[0].at >= deadline {
+		if ev := e.peek(); ev == nil || ev.at >= deadline {
 			break
 		}
 		e.Step()
@@ -260,11 +332,9 @@ func (e *Engine) PendingTimes(buf []Time) []Time {
 // PeekTime reports the timestamp of the earliest live (non-canceled) pending
 // event. ok is false when no live event is queued.
 func (e *Engine) PeekTime() (at Time, ok bool) {
-	for len(e.events) > 0 && e.events[0].canceled {
-		e.recycle(heap.Pop(&e.events).(*Event))
-	}
-	if len(e.events) == 0 {
+	ev := e.peek()
+	if ev == nil {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return ev.at, true
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -252,4 +254,149 @@ func TestEnginePendingTimes(t *testing.T) {
 	if n := len(e.PendingTimes(nil)); n != 0 {
 		t.Fatalf("%d pending times after drain", n)
 	}
+}
+
+// rearmEngine drives one engine through the equivalence test's op stream.
+// inPlace selects how a live event is re-armed: Engine.Reschedule, or Cancel
+// followed by Schedule of the same callback.
+type rearmEngine struct {
+	eng     *Engine
+	inPlace bool
+	live    map[int]*Event // logical event ID -> current handle
+	fired   []firing
+}
+
+type firing struct {
+	id int
+	at Time
+}
+
+func (r *rearmEngine) schedule(id int, at Time, chain *rand.Rand) {
+	var fn func()
+	fn = func() {
+		delete(r.live, id)
+		r.fired = append(r.fired, firing{id, r.eng.Now()})
+		// Re-entrant re-arms from inside a callback, as GPU completion
+		// handlers do; chain is advanced identically on both engines while
+		// their fired sequences agree.
+		if chain.Intn(3) == 0 {
+			if ids := r.liveIDs(); len(ids) > 0 {
+				r.rearm(ids[chain.Intn(len(ids))], r.eng.Now()+Time(chain.Intn(4)))
+			}
+		}
+	}
+	r.live[id] = r.eng.Schedule(at, fn)
+}
+
+func (r *rearmEngine) rearm(id int, at Time) {
+	ev := r.live[id]
+	if r.inPlace {
+		r.eng.Reschedule(ev, at)
+		return
+	}
+	fn := ev.fn
+	ev.Cancel()
+	r.live[id] = r.eng.Schedule(at, fn)
+}
+
+func (r *rearmEngine) liveIDs() []int {
+	ids := make([]int, 0, len(r.live))
+	for id := range r.live {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestEngineRescheduleMatchesCancelSchedule runs random schedule, cancel and
+// re-arm op streams (re-arms also from inside callbacks, many of them onto
+// already-occupied instants) on two engines — one re-arming with Reschedule,
+// the other with Cancel + Schedule — and requires the same callbacks to fire
+// at the same times in the same order, with PendingTimes agreeing after
+// every op.
+func TestEngineRescheduleMatchesCancelSchedule(t *testing.T) {
+	seeds := int64(300)
+	if testing.Short() {
+		seeds = 60
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		ops := rand.New(rand.NewSource(seed))
+		a := &rearmEngine{eng: NewEngine(), live: map[int]*Event{}}
+		b := &rearmEngine{eng: NewEngine(), inPlace: true, live: map[int]*Event{}}
+		chainA := rand.New(rand.NewSource(-seed))
+		chainB := rand.New(rand.NewSource(-seed))
+		next := 0
+		for step := 0; step < 400; step++ {
+			ids := a.liveIDs()
+			if !slices.Equal(ids, b.liveIDs()) {
+				t.Fatalf("seed %d step %d: live events %v vs %v", seed, step, ids, b.liveIDs())
+			}
+			// Times land on a coarse grid, in the past too, so re-arms
+			// collide with pending events and with the clamp to now.
+			at := a.eng.Now() + Time(ops.Intn(12)-2)
+			switch op := ops.Intn(10); {
+			case op < 4 || len(ids) == 0:
+				a.schedule(next, at, chainA)
+				b.schedule(next, at, chainB)
+				next++
+			case op < 5:
+				id := ids[ops.Intn(len(ids))]
+				a.live[id].Cancel()
+				b.live[id].Cancel()
+				delete(a.live, id)
+				delete(b.live, id)
+			case op < 8:
+				id := ids[ops.Intn(len(ids))]
+				a.rearm(id, at)
+				b.rearm(id, at)
+			default:
+				if a.eng.Step() != b.eng.Step() {
+					t.Fatalf("seed %d step %d: Step disagrees", seed, step)
+				}
+			}
+			if !slices.Equal(a.fired, b.fired) {
+				t.Fatalf("seed %d step %d: fired %v, in-place %v", seed, step, a.fired, b.fired)
+			}
+			if pa, pb := a.eng.PendingTimes(nil), b.eng.PendingTimes(nil); !slices.Equal(pa, pb) {
+				t.Fatalf("seed %d step %d: PendingTimes %v, in-place %v", seed, step, pa, pb)
+			}
+			if a.eng.Now() != b.eng.Now() {
+				t.Fatalf("seed %d step %d: clocks %v vs %v", seed, step, a.eng.Now(), b.eng.Now())
+			}
+		}
+		a.eng.Run()
+		b.eng.Run()
+		if !slices.Equal(a.fired, b.fired) || len(b.live) != 0 {
+			t.Fatalf("seed %d: drained fired %v, in-place %v (%d live left)", seed, a.fired, b.fired, len(b.live))
+		}
+		if b.eng.Pending() != 0 {
+			t.Fatalf("seed %d: %d heap entries left after drain", seed, b.eng.Pending())
+		}
+	}
+}
+
+func TestEngineRescheduleInPlace(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	ev := e.Schedule(10, func() { order = append(order, "moved") })
+	e.Schedule(20, func() { order = append(order, "other") })
+	e.Reschedule(ev, 20) // fresh seq: fires after the event already at 20
+	if e.Pending() != 2 {
+		t.Fatalf("pending = %d after an in-place re-arm, want 2 (no dead entry)", e.Pending())
+	}
+	ev.Cancel()
+	e.Reschedule(ev, 30) // a canceled, undiscarded event is revived
+	e.Run()
+	if want := []string{"other", "moved"}; !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	if e.Now() != 30 {
+		t.Fatalf("clock = %v, want 30", e.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reschedule of a fired event did not panic")
+		}
+	}()
+	e.Reschedule(ev, 40)
 }

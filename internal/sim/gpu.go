@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Config holds the simulated device parameters. DefaultConfig models the
@@ -188,6 +189,7 @@ func (q *Queue) Label() string { return q.label }
 func (q *Queue) Pause() {
 	if !q.paused {
 		q.paused = true
+		q.ctx.gpu.touch(q)
 		// A queue that is mid-kernel or has nothing queued dispatches nothing
 		// either way: pausing it leaves the runnable set untouched.
 		if q.run != nil || len(q.pending) == 0 {
@@ -202,6 +204,7 @@ func (q *Queue) Pause() {
 func (q *Queue) Resume() {
 	if q.paused {
 		q.paused = false
+		q.ctx.gpu.touch(q)
 		// Only a resumable head (idle queue with a backlog) can change the
 		// runnable set.
 		if q.run != nil || len(q.pending) == 0 {
@@ -243,6 +246,7 @@ func (q *Queue) CancelPending() []PendingKernel {
 		}
 	}
 	q.pending = q.pending[:0]
+	g.touch(q)
 	for _, t := range g.removalTracers {
 		t.KernelsRemoved(g.eng.Now(), q, ks)
 	}
@@ -277,6 +281,12 @@ type GPU struct {
 
 	contexts []*Context
 	queues   []*Queue
+	// busy is a bitset over queue IDs: bit q.id is set while the queue is
+	// running a kernel or can dispatch one (see touch). The per-event scans
+	// walk it in ascending ID — the order of queues — so they cost O(busy
+	// queues) while folding floating-point sums in the same order as a walk
+	// over every queue.
+	busy []uint64
 
 	completion   *Event
 	onCompletion func() // cached completion callback (one closure per device)
@@ -423,9 +433,24 @@ func (g *GPU) NewContext(opts ContextOptions) (*Context, error) {
 
 // NewQueue creates a device queue bound to the context.
 func (c *Context) NewQueue(label string) *Queue {
-	q := &Queue{ctx: c, id: len(c.gpu.queues), label: label}
-	c.gpu.queues = append(c.gpu.queues, q)
+	g := c.gpu
+	q := &Queue{ctx: c, id: len(g.queues), label: label}
+	g.queues = append(g.queues, q)
+	if q.id>>6 >= len(g.busy) {
+		g.busy = append(g.busy, 0)
+	}
 	return q
+}
+
+// touch recomputes q's bit in the busy set. Call it after any change to
+// q.run, q.paused or q.pending.
+func (g *GPU) touch(q *Queue) {
+	bit := uint64(1) << (q.id & 63)
+	if q.run != nil || (!q.paused && len(q.pending) > 0) {
+		g.busy[q.id>>6] |= bit
+	} else {
+		g.busy[q.id>>6] &^= bit
+	}
 }
 
 // AllocMemory reserves device memory, failing with an error that unwraps to
@@ -635,6 +660,7 @@ func (q *Queue) enqueueNow(rec launchRecord) {
 	g := q.ctx.gpu
 	blocked := q.run != nil || q.paused
 	q.pending = append(q.pending, rec)
+	g.touch(q)
 	g.notifyEnqueued(q, rec.k)
 	if blocked {
 		g.rescheduleLight()
@@ -673,25 +699,26 @@ func (q *Queue) popPending() launchRecord {
 }
 
 // runningExecs appends the execs currently eligible to run to buf (reused
-// when capacity allows), starting queued heads as needed.
+// when capacity allows), in queue order, starting queued heads as needed.
 func (g *GPU) runningExecs(buf []*exec) []*exec {
 	out := buf[:0]
-	for _, q := range g.queues {
-		if q.run == nil && !q.paused && len(q.pending) > 0 {
-			rec := q.popPending()
-			e := g.newExec()
-			e.q, e.rec, e.started = q, rec, g.eng.Now()
-			if rec.k.IsCompute() {
-				e.remaining = float64(rec.k.Work)
-			} else {
-				e.remaining = float64(rec.k.Bytes)
+	for w, word := range g.busy {
+		for ; word != 0; word &= word - 1 {
+			q := g.queues[w<<6|bits.TrailingZeros64(word)]
+			if q.run == nil { // busy and idle: an unpaused backlog to start
+				rec := q.popPending()
+				e := g.newExec()
+				e.q, e.rec, e.started = q, rec, g.eng.Now()
+				if rec.k.IsCompute() {
+					e.remaining = float64(rec.k.Work)
+				} else {
+					e.remaining = float64(rec.k.Bytes)
+				}
+				q.run = e
+				for _, t := range g.tracers {
+					t.KernelStart(e.started, q, rec.k)
+				}
 			}
-			q.run = e
-			for _, t := range g.tracers {
-				t.KernelStart(e.started, q, rec.k)
-			}
-		}
-		if q.run != nil {
 			out = append(out, q.run)
 		}
 	}
@@ -704,18 +731,20 @@ func (g *GPU) advance() {
 	now := g.eng.Now()
 	dt := float64(now - g.lastAcct)
 	if dt > 0 {
-		for _, q := range g.queues {
-			e := q.run
-			if e == nil {
-				continue
-			}
-			e.remaining -= e.rate * dt
-			if e.remaining < 0 {
-				e.remaining = 0
-			}
-			if e.rec.k.IsCompute() {
-				g.busySMIntegral += e.alloc * dt
-				e.allocIntg += e.alloc * dt
+		for w, word := range g.busy {
+			for ; word != 0; word &= word - 1 {
+				e := g.queues[w<<6|bits.TrailingZeros64(word)].run
+				if e == nil {
+					continue
+				}
+				e.remaining -= e.rate * dt
+				if e.remaining < 0 {
+					e.remaining = 0
+				}
+				if e.rec.k.IsCompute() {
+					g.busySMIntegral += e.alloc * dt
+					e.allocIntg += e.alloc * dt
+				}
 			}
 		}
 		if g.lastAnyBusy {
@@ -754,6 +783,7 @@ func (g *GPU) reschedule() {
 		for _, e := range execs {
 			if e.remaining <= 0.5 {
 				e.q.run = nil
+				g.touch(e.q)
 				g.kernelsDone++
 				if len(g.tracers) > 0 {
 					avg := 0.0
@@ -816,10 +846,12 @@ func (g *GPU) rescheduleLight() {
 	g.advance()
 	// If any in-flight kernel has already crossed the retirement threshold,
 	// the full pass must retire it (and start successors) now.
-	for _, q := range g.queues {
-		if e := q.run; e != nil && e.remaining <= 0.5 {
-			g.reschedule() // advance again is a no-op (dt = 0)
-			return
+	for w, word := range g.busy {
+		for ; word != 0; word &= word - 1 {
+			if e := g.queues[w<<6|bits.TrailingZeros64(word)].run; e != nil && e.remaining <= 0.5 {
+				g.reschedule() // advance again is a no-op (dt = 0)
+				return
+			}
 		}
 	}
 	// The runnable set is unchanged, so lastAnyBusy keeps its value.
@@ -827,28 +859,38 @@ func (g *GPU) rescheduleLight() {
 	g.publishAllocations()
 }
 
-// armCompletion cancels and re-arms the earliest next completion event from
-// the running kernels (in queue order, matching the full pass's exec order).
+// armCompletion re-arms the completion event at the earliest completion of
+// the running kernels. A live completion event moves in place
+// (Engine.Reschedule: the same firing order and sequence numbers as
+// canceling it and scheduling a new one); it is canceled only when nothing
+// running makes progress.
 func (g *GPU) armCompletion() {
-	if g.completion != nil {
-		g.completion.Cancel()
-		g.completion = nil
-	}
+	now := g.eng.Now()
 	next := Time(math.MaxInt64)
-	for _, q := range g.queues {
-		e := q.run
-		if e == nil || e.rate <= 0 {
-			continue
-		}
-		d := Time(math.Ceil(e.remaining / e.rate))
-		if d < 1 {
-			d = 1
-		}
-		if g.eng.Now()+d < next {
-			next = g.eng.Now() + d
+	for w, word := range g.busy {
+		for ; word != 0; word &= word - 1 {
+			e := g.queues[w<<6|bits.TrailingZeros64(word)].run
+			if e == nil || e.rate <= 0 {
+				continue
+			}
+			d := Time(math.Ceil(e.remaining / e.rate))
+			if d < 1 {
+				d = 1
+			}
+			if now+d < next {
+				next = now + d
+			}
 		}
 	}
-	if next != Time(math.MaxInt64) {
+	switch {
+	case next == Time(math.MaxInt64):
+		if g.completion != nil {
+			g.completion.Cancel()
+			g.completion = nil
+		}
+	case g.completion != nil:
+		g.eng.Reschedule(g.completion, next)
+	default:
 		if g.onCompletion == nil {
 			g.onCompletion = func() {
 				g.completion = nil
@@ -1206,9 +1248,11 @@ func (g *GPU) Utilization() float64 {
 // at this instant — instantaneous occupancy for timeline introspection.
 func (g *GPU) ActiveSMs() float64 {
 	total := 0.0
-	for _, q := range g.queues {
-		if q.run != nil && q.run.rec.k.IsCompute() {
-			total += q.run.alloc
+	for w, word := range g.busy {
+		for ; word != 0; word &= word - 1 {
+			if e := g.queues[w<<6|bits.TrailingZeros64(word)].run; e != nil && e.rec.k.IsCompute() {
+				total += e.alloc
+			}
 		}
 	}
 	return total

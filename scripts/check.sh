@@ -5,6 +5,9 @@
 # internal/invariant) and the determinism stage (same-configuration runs must
 # fold to identical event digests). Run from anywhere inside the repo.
 #
+# BASE=<rev> adds a digest-diff stage: the determinism digest corpus must be
+# bit-identical to the one at that revision.
+#
 # SHORT=1 keeps the local gate fast: tests run with -short (reduced trial
 # counts) and the invariant stage covers one experiment instead of three.
 set -eu
@@ -116,5 +119,12 @@ echo "== determinism =="
 # Same-seed runs must produce byte-identical event digests, and the
 # metamorphic relations (client permutation, quota scaling) must hold.
 go test -run 'TestDeterminismDigest|TestMetamorphicInvariantVerdicts' -count=1 $short_flag ./internal/harness/
+
+if [ -n "${BASE:-}" ]; then
+    echo "== digest diff against $BASE =="
+    # Bit-identity to a base revision: the digest corpus must fold to the
+    # same 60 digests here and at BASE (see scripts/digest_diff.sh).
+    BASE="$BASE" ./scripts/digest_diff.sh
+fi
 
 echo "OK"
