@@ -100,11 +100,7 @@ func Determine(s *Squad, deviceSMs int, quotas []float64, opts DetermineOptions)
 		budgets = make([]sim.Time, k)
 		for i := range s.Entries {
 			e := &s.Entries[i]
-			qsms := e.Client.QuotaSMs(deviceSMs)
-			var b sim.Time
-			for _, kk := range e.Kernels {
-				b += e.Client.Profile.KernelDurAt(kk, qsms)
-			}
+			b := entryStack(e, e.Client.QuotaSMs(deviceSMs))
 			budgets[i] = b + b/50
 			if budgets[i] < minBudget {
 				minBudget = budgets[i]
@@ -112,34 +108,49 @@ func Determine(s *Squad, deviceSMs int, quotas []float64, opts DetermineOptions)
 		}
 	}
 
-	// Candidate tracking reuses three fixed slices: a scratch split mutated
-	// per evaluation, and copy-on-improvement buffers for the two bests.
-	// The search visits O(n^k) compositions, so per-candidate allocation
-	// dominated the scheduler's hot path otherwise.
-	scratch := make([]int, k)
-	bestAnySMs := make([]int, k)
-	bestFeasibleSMs := make([]int, k)
+	// Candidate tracking reuses three fixed slices, cut from one allocation:
+	// a scratch split mutated per evaluation, and copy-on-improvement
+	// buffers for the two bests. The search visits O(n^k) compositions, so
+	// per-candidate allocation dominated the scheduler's hot path otherwise.
+	//
+	// Every candidate gives each entry p >= 1 of the n partitions, at most
+	// m = n-k+1, so entry i's Equation 1 stack is summed at most once per p,
+	// on first use, into stacks[i*m+p-1], and a candidate costs k table reads
+	// instead of k stack sums (a 3-entry squad evaluates 136 splits but only
+	// 3x16 distinct stacks; the hill climb touches a few p per entry).
+	// Stacks are integer sums of non-negative durations: a read is exactly
+	// the sum it replaces, and -1 marks an unfilled slot. The table fits in
+	// tableBuf, on the stack, whenever k*m <= 96 (every k at n = 18).
+	ints := make([]int, 3*k)
+	scratch, bestAnySMs, bestFeasibleSMs := ints[:k:k], ints[k:2*k:2*k], ints[2*k:]
+	m := max(n-k+1, 0)
+	var tableBuf [96]sim.Time
+	stacks := tableBuf[:0]
+	if k*m > len(tableBuf) {
+		stacks = make([]sim.Time, 0, k*m)
+	}
+	for range k * m {
+		stacks = append(stacks, -1)
+	}
 	var bestAnyEst, bestFeasibleEst sim.Time
 	haveAny, haveFeasible := false, false
 	evaluate := func(parts []int) sim.Time {
+		var est sim.Time
+		feasible := true
 		for i, p := range parts {
 			scratch[i] = deviceSMs * p / n
-		}
-		considered++
-		est := EstimateSpatial(s, scratch)
-		feasible := true
-		if opts.QuotaGuard {
-			for i := range s.Entries {
-				var stack sim.Time
-				for _, kk := range s.Entries[i].Kernels {
-					stack += s.Entries[i].Client.Profile.KernelDurAt(kk, scratch[i])
-				}
-				if stack > budgets[i] {
-					feasible = false
-					break
-				}
+			stack := &stacks[i*m+p-1]
+			if *stack < 0 {
+				*stack = entryStack(&s.Entries[i], scratch[i])
+			}
+			if *stack > est {
+				est = *stack
+			}
+			if opts.QuotaGuard && *stack > budgets[i] {
+				feasible = false
 			}
 		}
+		considered++
 		if !haveAny || est < bestAnyEst {
 			haveAny, bestAnyEst = true, est
 			copy(bestAnySMs, scratch)

@@ -22,16 +22,21 @@ import (
 func EstimateSpatial(s *Squad, smAlloc []int) sim.Time {
 	var worst sim.Time
 	for i := range s.Entries {
-		e := &s.Entries[i]
-		var stack sim.Time
-		for _, k := range e.Kernels {
-			stack += e.Client.Profile.KernelDurAt(k, smAlloc[i])
-		}
-		if stack > worst {
+		if stack := entryStack(&s.Entries[i], smAlloc[i]); stack > worst {
 			worst = stack
 		}
 	}
 	return worst
+}
+
+// entryStack is one entry's term of Equation 1: the sum of its kernels'
+// profiled durations on sms SMs.
+func entryStack(e *SquadEntry, sms int) sim.Time {
+	var stack sim.Time
+	for _, k := range e.Kernels {
+		stack += e.Client.Profile.KernelDurAt(k, sms)
+	}
+	return stack
 }
 
 // EstimateUnrestricted is the workload-equivalence predictor (Equation 2):

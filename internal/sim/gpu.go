@@ -778,7 +778,10 @@ func (g *GPU) reschedule() {
 	for {
 		execs = g.runningExecs(execBuf)
 		execBuf = execs
-		g.assignRates(execs)
+		// Retirement reads only the work advance integrated, never the
+		// rates, so rates are assigned once, to the set that retires nothing:
+		// a pass over a set that still holds a retiring kernel would be
+		// overwritten by the next iteration's.
 		finished := false
 		for _, e := range execs {
 			if e.remaining <= 0.5 {
@@ -802,6 +805,7 @@ func (g *GPU) reschedule() {
 			}
 		}
 		if !finished {
+			g.assignRates(execs)
 			break
 		}
 	}
@@ -953,8 +957,59 @@ func insertionSortByGroup(a []*exec) {
 }
 
 // assignRates computes, for the current runnable set, each kernel's SM
-// allocation (priority tiers, per-context caps, proportional sharing of the
-// remainder) and contention slowdown, then each memcpy's PCIe share.
+// allocation and contention slowdown, then each memcpy's PCIe share. Most
+// passes run a lone kernel (about three in four on colocated BLESS load), so
+// that case skips the tiering, grouping and water-fills of the many-kernel
+// body; it yields the same values bit for bit, which the reference device in
+// reference_test.go checks against assignRatesMany.
+func (g *GPU) assignRates(execs []*exec) {
+	switch len(execs) {
+	case 0:
+	case 1:
+		g.assignLone(execs[0])
+	default:
+		g.assignRatesMany(execs)
+	}
+}
+
+// assignLone is assignRatesMany for one running kernel. A lone memcpy owns
+// the link. For a lone compute kernel, Kernel.SMDemand already clamps its
+// demand to the context's SM limit and to the device, so the context cap is
+// a no-op, both water-fills (capacity SMs >= 1, then the context's grant)
+// grant the full demand, and the overlap demand never oversubscribes the
+// device, so the co-residency term is 1. What remains is the bandwidth
+// slowdown against the shared pool or the isolated budget, with the
+// many-kernel body's arithmetic (its 0 + d sums are exactly d).
+func (g *GPU) assignLone(e *exec) {
+	if !e.rec.k.IsCompute() {
+		e.rate = g.cfg.PCIeBytesPerNS
+		e.alloc = 0
+		return
+	}
+	e.demand = float64(e.rec.k.SMDemand(e.q.ctx.SMLimit, g.cfg.SMs))
+	e.alloc = e.demand
+	bw := e.demandBW(g.cfg.BWSatOccupancy)
+	over := bw - 1
+	if e.q.ctx.Isolated {
+		budget := float64(e.q.ctx.SMLimit) / float64(g.cfg.SMs)
+		if budget <= 0 {
+			budget = 1
+		}
+		over = bw/budget - 1
+	}
+	slow := 1.0
+	if over > 0 {
+		slow = 1 + e.rec.k.MemIntensity*over
+	}
+	if slow > g.cfg.SlowdownCap {
+		slow = g.cfg.SlowdownCap
+	}
+	e.rate = e.alloc / slow
+}
+
+// assignRatesMany is the general rate pass: priority tiers, per-context caps,
+// max-min sharing of the remainder, bandwidth and co-residency slowdowns, and
+// an equal PCIe split among memcpys.
 //
 // The pass is allocation-free in steady state: partitioning, tier ordering
 // and per-context grouping run over buffers reused across passes. Ordering
@@ -962,7 +1017,7 @@ func insertionSortByGroup(a []*exec) {
 // in original queue order — floating-point accumulation order is visible in
 // determinism digests — and the stable sorts reproduce exactly the first-
 // appearance grouping of the map-based formulation they replace.
-func (g *GPU) assignRates(execs []*exec) {
+func (g *GPU) assignRatesMany(execs []*exec) {
 	compute := g.computeBuf[:0]
 	dma := g.dmaBuf[:0]
 	for _, e := range execs {

@@ -8,16 +8,17 @@ import (
 )
 
 // refGPU is a naive reference device, the differential oracle for GPU's
-// event loop. It shares the rate model with GPU — assignRates (and through it
-// waterFillInto and demandBW), the retirement threshold, the completion
-// arithmetic and the Config constants — and none of the machinery: no busy
-// set, no rescheduleLight, no exec or launch pooling, no in-place completion
-// re-arm. Every device event integrates, starts, rates, retires, re-arms and
-// publishes from a walk over all queues.
+// event loop. It shares the rate model with GPU — assignRatesMany (and
+// through it waterFillInto and demandBW), the retirement threshold, the
+// completion arithmetic and the Config constants — and none of the
+// machinery: no busy set, no rescheduleLight, no exec or launch pooling, no
+// in-place completion re-arm, no lone-kernel rate case, no single rate pass
+// per reschedule. Every device event integrates, starts, rates, retires,
+// re-arms and publishes from a walk over all queues.
 type refGPU struct {
 	eng    *Engine
 	cfg    Config
-	model  *GPU // hosts assignRates and its scratch; never scheduled
+	model  *GPU // hosts assignRatesMany and its scratch; never scheduled
 	ctxs   []*Context
 	queues []*refQueue
 	tr     *diffRecorder
@@ -31,7 +32,7 @@ type refGPU struct {
 }
 
 type refQueue struct {
-	q       *Queue // identity handed to assignRates (q.ctx) and to the recorder
+	q       *Queue // identity handed to assignRatesMany (q.ctx) and to the recorder
 	pending []launchRecord
 	run     *exec
 	paused  bool
@@ -159,7 +160,7 @@ func (r *refGPU) update() {
 				execs = append(execs, rq.run)
 			}
 		}
-		r.model.assignRates(execs)
+		r.model.assignRatesMany(execs)
 		retired := false
 		for _, e := range execs {
 			if e.remaining > 0.5 {
@@ -263,6 +264,29 @@ type diffRecorder struct {
 	events  []diffEvent
 	loads   []diffLoad
 	runaway bool
+	lone    [loneKinds]int // allocation samples with one running kernel, by loneKind
+}
+
+// Kinds of lone running kernel, which the rate pass handles apart from the
+// many-kernel body.
+const (
+	loneUnrestricted = iota // compute, shared bandwidth, no SM limit
+	loneSMLimited           // compute, shared bandwidth, SM-limited context
+	loneIsolated            // compute in an Isolated context
+	loneDMA                 // a memcpy alone on the link
+	loneKinds
+)
+
+func loneKind(e QueueLoad) int {
+	switch ctx := e.Queue.ctx; {
+	case !e.Running.IsCompute():
+		return loneDMA
+	case ctx.Isolated:
+		return loneIsolated
+	case ctx.SMLimit > 0:
+		return loneSMLimited
+	}
+	return loneUnrestricted
 }
 
 const maxDiffEvents = 200000
@@ -290,7 +314,11 @@ func (d *diffRecorder) KernelsRemoved(at Time, q *Queue, ks []*Kernel) {
 func (d *diffRecorder) AllocationsChanged(at Time, loads []QueueLoad) {
 	n := len(d.events)
 	d.record(diffEvent{kind: 'A', at: at, queue: len(loads)})
+	running, last := 0, QueueLoad{}
 	for _, ql := range loads {
+		if ql.Running != nil {
+			running, last = running+1, ql
+		}
 		if ql == (QueueLoad{Queue: ql.Queue}) {
 			continue
 		}
@@ -298,6 +326,9 @@ func (d *diffRecorder) AllocationsChanged(at Time, loads []QueueLoad) {
 			sample: n, queue: ql.Queue.id, running: ql.Running, alloc: ql.Alloc,
 			demand: ql.Demand, want: ql.Want, pending: ql.Pending, paused: ql.Paused,
 		})
+	}
+	if running == 1 {
+		d.lone[loneKind(last)]++
 	}
 }
 
@@ -351,7 +382,12 @@ type diffOp struct {
 	n     int
 }
 
-func genDiffScenario(seed int64) diffScenario {
+// genDiffScenario generates a seeded scenario. The wide mode spreads 6–23
+// contexts over 70–129 queues, more than one word of the busy set. The lone
+// mode puts 1–3 queues on three contexts — unrestricted, SM-limited and
+// Isolated — so that long stretches run a single kernel, compute or memcpy,
+// through the rate pass's lone case.
+func genDiffScenario(seed int64, lone bool) diffScenario {
 	rng := rand.New(rand.NewSource(seed))
 	sc := diffScenario{cfg: DefaultConfig()}
 	switch seed % 4 {
@@ -363,18 +399,28 @@ func genDiffScenario(seed int64) diffScenario {
 		sc.cfg.SlowdownCap = 1.3
 	}
 	nctx := 6 + rng.Intn(18)
+	if lone {
+		nctx = 3
+	}
 	for i := 0; i < nctx; i++ {
 		o := ContextOptions{NoMemCharge: true, Label: fmt.Sprintf("c%d", i)}
 		if rng.Intn(3) > 0 {
 			o.SMLimit = 1 + rng.Intn(sc.cfg.SMs)
 		}
 		o.Isolated = rng.Intn(5) == 0
+		if lone {
+			o.SMLimit = []int{0, 1 + rng.Intn(sc.cfg.SMs-1), rng.Intn(sc.cfg.SMs)}[i]
+			o.Isolated = i == 2
+		}
 		if rng.Intn(4) == 0 {
 			o.Priority = rng.Intn(3)
 		}
 		sc.ctxs = append(sc.ctxs, o)
 	}
-	nq := 70 + rng.Intn(60) // more than one word of the busy set
+	nq := 70 + rng.Intn(60)
+	if lone {
+		nq = 1 + rng.Intn(3)
+	}
 	for i := 0; i < nq; i++ {
 		sc.queueOf = append(sc.queueOf, rng.Intn(nctx))
 	}
@@ -502,8 +548,9 @@ func runRef(sc *diffScenario) (*diffRecorder, Stats) {
 // TestReferenceGPUAgrees drives the production device and the naive
 // reference with the same seeded op streams — immediate, deferred and burst
 // enqueues of compute and DMA kernels, pause, resume, CancelPending and
-// SetSMLimit over 70+ queues — and requires them to agree exactly (tolerance
-// 0) on every enqueue, kernel start and end instant, average SM grant, every
+// SetSMLimit over 70+ queues, and again over 1–3 queues where a lone kernel
+// of every kind runs — and requires them to agree exactly (tolerance 0) on
+// every enqueue, kernel start and end instant, average SM grant, every
 // allocation snapshot, and the final accounting.
 func TestReferenceGPUAgrees(t *testing.T) {
 	seeds := 40
@@ -511,24 +558,36 @@ func TestReferenceGPUAgrees(t *testing.T) {
 		seeds = 10
 	}
 	highQueueStarts := 0
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		sc := genDiffScenario(seed)
-		got, gotStats := runReal(&sc)
-		want, wantStats := runRef(&sc)
-		for _, ev := range got.events {
-			if ev.kind == 'S' && ev.queue >= 64 {
-				highQueueStarts++
+	var lone [loneKinds]int
+	for _, mode := range []bool{false, true} {
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			sc := genDiffScenario(seed, mode)
+			got, gotStats := runReal(&sc)
+			want, wantStats := runRef(&sc)
+			for _, ev := range got.events {
+				if ev.kind == 'S' && ev.queue >= 64 {
+					highQueueStarts++
+				}
 			}
-		}
-		if err := compareDiff(got, want); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if gotStats != wantStats {
-			t.Fatalf("seed %d: stats %+v, reference %+v", seed, gotStats, wantStats)
+			if err := compareDiff(got, want); err != nil {
+				t.Fatalf("seed %d (lone mode %v): %v", seed, mode, err)
+			}
+			if gotStats != wantStats {
+				t.Fatalf("seed %d (lone mode %v): stats %+v, reference %+v", seed, mode, gotStats, wantStats)
+			}
+			for i, n := range got.lone {
+				lone[i] += n
+			}
 		}
 	}
 	if highQueueStarts == 0 {
 		t.Fatal("no kernel started on a queue past the first busy-set word")
+	}
+	t.Logf("allocation samples with a lone kernel, by kind: %v", lone)
+	for kind, n := range lone {
+		if n == 0 {
+			t.Errorf("no allocation sample ran a lone kernel of kind %d", kind)
+		}
 	}
 }
 

@@ -61,3 +61,40 @@ func BenchmarkReschedule(b *testing.B) {
 	for eng.Step() {
 	}
 }
+
+// BenchmarkRescheduleLone measures the lone-kernel rate pass: one
+// closed-loop queue, primed two deep, so every completion retires the only
+// running kernel and starts its successor alone. One op is one kernel. It
+// must stay at 0 allocs/op (gated exactly in BENCH_sim.json).
+func BenchmarkRescheduleLone(b *testing.B) {
+	eng := NewEngine()
+	g := NewGPU(eng, DefaultConfig())
+	ctx, err := g.NewContext(ContextOptions{NoMemCharge: true, Label: "c0"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := ctx.NewQueue("q0")
+	k := &Kernel{
+		Name:          "bench",
+		Kind:          Compute,
+		Work:          54 * Microsecond,
+		SaturationSMs: 80,
+		MemIntensity:  0.4,
+	}
+
+	remaining := b.N
+	var relaunch func(at Time)
+	relaunch = func(at Time) {
+		if remaining > 0 {
+			remaining--
+			q.Enqueue(at, k, relaunch)
+		}
+	}
+	q.Enqueue(0, k, relaunch)
+	q.Enqueue(0, k, relaunch)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for eng.Step() {
+	}
+}

@@ -31,7 +31,7 @@ bench() {
 }
 
 echo "== bench: simulator hot path =="
-bench 'BenchmarkReschedule$|BenchmarkKernelHotPathUntraced$' ./internal/sim/
+bench 'BenchmarkReschedule$|BenchmarkRescheduleLone$|BenchmarkKernelHotPathUntraced$' ./internal/sim/
 echo "== bench: untraced observability fast path (must stay zero-alloc) =="
 bench 'BenchmarkUntracedSpanPath$' ./internal/obs/
 echo "== bench: experiment batch (serial vs parallel executor) =="
